@@ -6,7 +6,7 @@
 GO ?= go
 SCVET := bin/scvet
 
-.PHONY: all build vet scvet-build scvet scvet-report test race check fmt-check lint serve bench bench-billing bench-artifact bench-json bench-check optimize-accept loadtest loadtest-smoke fleetchaos fleetchaos-smoke fuzz chaos clean
+.PHONY: all build vet scvet-build scvet scvet-report test race check fmt-check lint serve bench bench-billing bench-artifact bench-json bench-check optimize-accept loadtest loadtest-smoke fleetchaos fleetchaos-smoke fuzz bench-fleet-test chaos clean
 
 all: check
 
@@ -111,6 +111,12 @@ bench-check:
 			-compare BENCH_billing.json -gate 'BillYearEngine|OptimizeYear' \
 			-threshold 0.15 -alloc-threshold 0.10
 
+# The fleet benchmark's own tests (its own module, so `go test ./...`
+# at the root skips it): unit tests plus a 1 s smoke run per workload
+# that checks every response byte for byte against the oracle.
+bench-fleet-test:
+	cd benchmark && $(GO) test ./...
+
 # Seeded acceptance sweep: optimize the year-in-life load against all
 # ten survey-site contracts and fail when the table drifts from the
 # committed ACCEPTANCE_optimize.md or any demand-charge/powerband site
@@ -167,10 +173,12 @@ chaos:
 		./internal/serve/ ./internal/feed/ ./internal/chaos/ ./internal/resilience/ \
 		> chaos-soak.log 2>&1; status=$$?; cat chaos-soak.log; exit $$status
 
-# Short fuzz pass over the timeseries parsers and transforms.
+# Short fuzz pass over the timeseries parsers and transforms and the
+# batch-billing wire decoder.
 fuzz:
 	$(GO) test ./internal/timeseries/ -fuzz FuzzReadPowerCSV -fuzztime 20s
 	$(GO) test ./internal/timeseries/ -fuzz FuzzResampleWindow -fuzztime 20s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzBatchRequest -fuzztime 20s
 
 clean:
 	$(GO) clean ./...

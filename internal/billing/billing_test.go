@@ -26,9 +26,10 @@ type probe struct {
 	name    string
 	invalid bool
 	// begun counts BeginPeriod calls across goroutines; last is the
-	// most recent accumulator (only meaningful for single-period runs).
+	// most recent accumulator (only meaningful for single-period runs,
+	// but month workers store it concurrently).
 	begun atomic.Int64
-	last  *probeAcc
+	last  atomic.Pointer[probeAcc]
 }
 
 func (p *probe) Validate() error {
@@ -43,7 +44,7 @@ func (p *probe) Describe() string { return p.name }
 func (p *probe) BeginPeriod(ctx *PeriodContext, interval time.Duration) Accumulator {
 	p.begun.Add(1)
 	a := &probeAcc{name: p.name, hist: ctx.HistoricalPeak, interval: interval}
-	p.last = a
+	p.last.Store(a)
 	return a
 }
 
@@ -139,7 +140,8 @@ func TestEvaluatePeriodSamplesAndAggregates(t *testing.T) {
 	}
 	// Sample contents: index order, interval-start timestamps, shared
 	// precomputed energy (power × 1 h here).
-	obs := p.last.samples
+	last := p.last.Load()
+	obs := last.samples
 	if len(obs) != 3 {
 		t.Fatalf("observed %d samples", len(obs))
 	}
@@ -154,8 +156,8 @@ func TestEvaluatePeriodSamplesAndAggregates(t *testing.T) {
 			t.Errorf("sample %d energy = %v for power %v", i, s.Energy, s.Power)
 		}
 	}
-	if p.last.hist != 500 || p.last.interval != time.Hour {
-		t.Errorf("context plumbed = %v/%v", p.last.hist, p.last.interval)
+	if last.hist != 500 || last.interval != time.Hour {
+		t.Errorf("context plumbed = %v/%v", last.hist, last.interval)
 	}
 }
 

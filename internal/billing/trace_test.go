@@ -93,7 +93,7 @@ func TestTracedObservationOrder(t *testing.T) {
 	if _, err := ev.EvaluatePeriodCtx(ctx, load, PeriodContext{}); err != nil {
 		t.Fatal(err)
 	}
-	acc := p.last
+	acc := p.last.Load()
 	if len(acc.samples) != n {
 		t.Fatalf("accumulator saw %d samples, want %d", len(acc.samples), n)
 	}

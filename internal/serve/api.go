@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
 	"strings"
@@ -31,6 +32,14 @@ import (
 // maxBodyBytes bounds request bodies (inline CSV year at one-minute
 // resolution fits comfortably).
 const maxBodyBytes = 16 << 20
+
+// Synthetic loads are bounded like inline ones, which maxBodyBytes caps
+// at a few million samples: at most ten years, and at most 2^20 samples
+// (about two years at one-minute resolution).
+const (
+	maxSyntheticDays    = 3660
+	maxSyntheticSamples = 1 << 20
+)
 
 // defaultFlatFeedRate mirrors cmd/scbill: dynamic tariffs evaluated
 // without market data get a flat reference feed at this price.
@@ -112,28 +121,44 @@ type AdviseRequest struct {
 	Materiality float64           `json:"materiality,omitempty"`
 }
 
+// namedProfiles is the built-in synthetic load table, built once;
+// namedProfileList is its sorted key list for error messages.
+var (
+	namedProfiles = func() map[string]hpc.LoadProfileConfig {
+		march := time.Date(2016, time.March, 1, 0, 0, 0, 0, time.UTC)
+		january := time.Date(2016, time.January, 1, 0, 0, 0, 0, time.UTC)
+		return map[string]hpc.LoadProfileConfig{
+			// The examples/quickstart month: steady 12 MW facility.
+			"quickstart-month": {
+				Start: march, Span: 30 * 24 * time.Hour, Interval: 15 * time.Minute,
+				Base: 12 * units.Megawatt, PeakToAverage: 1.5, NoiseSigma: 0.02, Seed: 1,
+			},
+			// A peakier month — the kitchen-sink golden-test load.
+			"peaky-month": {
+				Start: march, Span: 30 * 24 * time.Hour, Interval: 15 * time.Minute,
+				Base: 12 * units.Megawatt, PeakToAverage: 1.8, NoiseSigma: 0.03, Seed: 21,
+			},
+			// A full calendar year for monthly billing and ratchet studies.
+			"year-in-life": {
+				Start: january, Span: 365 * 24 * time.Hour, Interval: 15 * time.Minute,
+				Base: 12 * units.Megawatt, PeakToAverage: 1.6, NoiseSigma: 0.02, Seed: 7,
+			},
+		}
+	}()
+	namedProfileList = func() string {
+		names := make([]string, 0, len(namedProfiles))
+		for n := range namedProfiles {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		return strings.Join(names, ", ")
+	}()
+)
+
 // NamedProfiles lists the built-in synthetic load profiles and their
-// generator parameters.
+// generator parameters. The map is a copy the caller may modify.
 func NamedProfiles() map[string]hpc.LoadProfileConfig {
-	march := time.Date(2016, time.March, 1, 0, 0, 0, 0, time.UTC)
-	january := time.Date(2016, time.January, 1, 0, 0, 0, 0, time.UTC)
-	return map[string]hpc.LoadProfileConfig{
-		// The examples/quickstart month: steady 12 MW facility.
-		"quickstart-month": {
-			Start: march, Span: 30 * 24 * time.Hour, Interval: 15 * time.Minute,
-			Base: 12 * units.Megawatt, PeakToAverage: 1.5, NoiseSigma: 0.02, Seed: 1,
-		},
-		// A peakier month — the kitchen-sink golden-test load.
-		"peaky-month": {
-			Start: march, Span: 30 * 24 * time.Hour, Interval: 15 * time.Minute,
-			Base: 12 * units.Megawatt, PeakToAverage: 1.8, NoiseSigma: 0.03, Seed: 21,
-		},
-		// A full calendar year for monthly billing and ratchet studies.
-		"year-in-life": {
-			Start: january, Span: 365 * 24 * time.Hour, Interval: 15 * time.Minute,
-			Base: 12 * units.Megawatt, PeakToAverage: 1.6, NoiseSigma: 0.02, Seed: 7,
-		},
-	}
+	return maps.Clone(namedProfiles)
 }
 
 // resolveLoad materializes the request's load profile.
@@ -161,15 +186,10 @@ func resolveLoad(ls LoadSpec) (*timeseries.PowerSeries, error) {
 		return timeseries.NewPower(ls.Series.Start,
 			time.Duration(ls.Series.IntervalSeconds)*time.Second, samples)
 	case ls.Profile != "":
-		cfg, ok := NamedProfiles()[ls.Profile]
+		cfg, ok := namedProfiles[ls.Profile]
 		if !ok {
-			names := make([]string, 0, len(NamedProfiles()))
-			for n := range NamedProfiles() {
-				names = append(names, n)
-			}
-			sort.Strings(names)
 			return nil, fmt.Errorf("load.profile: unknown profile %q (have: %s)",
-				ls.Profile, strings.Join(names, ", "))
+				ls.Profile, namedProfileList)
 		}
 		return hpc.SyntheticFacilityLoad(cfg)
 	default:
@@ -204,6 +224,11 @@ func resolveSynthetic(sp SyntheticSpec) (*timeseries.PowerSeries, error) {
 	}
 	if sp.Seed == 0 {
 		cfg.Seed = 1
+	}
+	// Bound the series before the generator allocates it: a few bytes
+	// of request must not buy gigabytes of samples.
+	if sp.Days > maxSyntheticDays || (cfg.Interval > 0 && cfg.Span/cfg.Interval > maxSyntheticSamples) {
+		return nil, fmt.Errorf("load.synthetic: at most %d days and %d samples", maxSyntheticDays, maxSyntheticSamples)
 	}
 	return hpc.SyntheticFacilityLoad(cfg)
 }

@@ -2,13 +2,19 @@ package serve
 
 // POST /v1/bill/batch: one load profile × N contract specs, or N load
 // profiles × one contract spec, billed as a single admitted request.
-// Each distinct input is parsed once (loads materialized up front,
-// specs parsed and content-hashed once, engines compiled once through
-// the LRU) and evaluation fans across the contract batch pool. Every
-// item's body is byte-identical to what a sequential /v1/bill call
-// with the same inputs would have returned — the envelope is assembled
-// by hand so rendered bills embed verbatim, never re-marshalled — and
-// degraded feed resolutions mark only the items they affected.
+// Each distinct (spec, load) pair is resolved, evaluated and encoded
+// once. Repeated profile names and synthetic parameter sets share one
+// generated series; repeated spec bytes share one parse and content
+// hash; engines come from the LRU; items resolving to the same
+// (engine, load, feed resolution) share one evaluation on the contract
+// batch pool and one rendered body, so batch_encode is recorded per
+// distinct pair, not per item. Inline csv/series loads are never
+// compared by content (their decode is already paid), and nothing is
+// kept across requests. Every item's body is byte-identical to what a
+// sequential /v1/bill call with the same inputs would have returned —
+// the envelope is assembled by hand so rendered bills embed verbatim,
+// never re-marshalled — and degraded feed resolutions mark only the
+// items they affected.
 
 import (
 	"bytes"
@@ -110,11 +116,22 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batchRequests.Add(1)
 	s.metrics.batchItems.Add(uint64(n))
 
-	// Materialize every distinct load once.
+	// Resolve every distinct load once: repeated profile names and
+	// synthetic parameter sets share one immutable series. Inline loads
+	// are never compared by content.
 	loads := make([]*timeseries.PowerSeries, len(loadSpecs))
 	loadErrs := make([]error, len(loadSpecs))
-	for i := range loadSpecs {
-		loads[i], loadErrs[i] = resolveLoad(loadSpecs[i])
+	seenLoads := make(map[generatedLoad]int, len(loadSpecs))
+	for i, ls := range loadSpecs {
+		key, generated := generatedLoadKey(ls)
+		if j, ok := seenLoads[key]; generated && ok {
+			loads[i], loadErrs[i] = loads[j], loadErrs[j]
+			continue
+		}
+		if generated {
+			seenLoads[key] = i
+		}
+		loads[i], loadErrs[i] = resolveLoad(ls)
 	}
 	// Parse every distinct spec once (repeated raw bytes share a parse).
 	parsed := make([]parsedSpec, len(specs))
@@ -131,10 +148,13 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Per-item engine resolution. The LRU makes repeated (spec, feed)
 	// pairs compile once; the flat-feed key depends on the load span, so
-	// resolution is per item even in one-contract mode.
+	// resolution is per item even in one-contract mode. Items resolving
+	// to the same (engine, load, feed resolution) share one evaluation.
 	results := make([]batchItemResult, n)
-	items := make([]contract.BatchItem, n)
-	frs := make([]feedResolution, n)
+	pair := make([]int, n)
+	pairOf := make(map[batchPair]int, n)
+	var items []contract.BatchItem
+	var frs []feedResolution
 	var worst feedResolution
 	for i := 0; i < n; i++ {
 		si, li := 0, 0
@@ -155,9 +175,16 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request) {
 				results[i] = batchItemResult{status: http.StatusBadRequest, body: batchErrorBody(err.Error())}
 				continue
 			}
-			frs[i] = fr
 			worst = worst.worse(fr)
-			items[i] = contract.BatchItem{Engine: eng, Load: loads[li]}
+			p := batchPair{item: contract.BatchItem{Engine: eng, Load: loads[li]}, fr: fr}
+			d, ok := pairOf[p]
+			if !ok {
+				d = len(items)
+				pairOf[p] = d
+				items = append(items, p.item)
+				frs = append(frs, fr)
+			}
+			pair[i] = d
 		}
 	}
 
@@ -165,7 +192,7 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request) {
 		hook(r.Context())
 	}
 
-	// Evaluate the resolvable items across the batch pool.
+	// Evaluate the distinct pairs across the batch pool.
 	endEval := obs.Span(r.Context(), stageBatchEvaluate)
 	outcomes := contract.BillBatch(r.Context(), items, resolveInput(req.Input), contract.BatchOptions{
 		Monthly:      monthly,
@@ -174,20 +201,55 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request) {
 	})
 	endEval()
 
-	// Encode per item: exactly the bytes a sequential /v1/bill response
-	// would carry (markDegraded splice included).
-	for i := range results {
-		if results[i].status != 0 {
-			continue
-		}
+	// Encode each distinct pair once: exactly the bytes a sequential
+	// /v1/bill response would carry (markDegraded splice included),
+	// shared by every item that maps to it.
+	encoded := make([]batchItemResult, len(items))
+	for d := range items {
 		endEncode := obs.Span(r.Context(), stageBatchEncode)
-		results[i] = s.encodeBatchItem(items[i].Engine, outcomes[i], frs[i], monthly)
+		encoded[d] = s.encodeBatchItem(items[d].Engine, outcomes[d], frs[d], monthly)
 		endEncode()
+	}
+	for i := range results {
+		if results[i].status == 0 {
+			results[i] = encoded[pair[i]]
+		}
 	}
 
 	s.noteFeed(w, worst)
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(renderBatchEnvelope(results))
+}
+
+// generatedLoad identifies a load the server generates from request
+// parameters — a named profile or a synthetic parameter set — so
+// repeats within one batch share a single series. Comparing the
+// synthetic start with == also compares its location, which can only
+// keep equal instants apart, never merge different ones.
+type generatedLoad struct {
+	profile   string
+	synthetic SyntheticSpec
+}
+
+// generatedLoadKey returns the dedupe key of a well-formed generated
+// load. Inline loads (and malformed specs, which fail resolveLoad) are
+// not keyed.
+func generatedLoadKey(ls LoadSpec) (generatedLoad, bool) {
+	if ls.CSV != "" || ls.Series != nil || (ls.Profile != "") == (ls.Synthetic != nil) {
+		return generatedLoad{}, false
+	}
+	if ls.Synthetic != nil {
+		return generatedLoad{synthetic: *ls.Synthetic}, true
+	}
+	return generatedLoad{profile: ls.Profile}, true
+}
+
+// batchPair is one distinct evaluation of a batch: items with equal
+// pairs share the outcome and its encoded bytes. The feed resolution is
+// part of the key because it decides the degraded marking.
+type batchPair struct {
+	item contract.BatchItem
+	fr   feedResolution
 }
 
 // encodeBatchItem renders one evaluated item.

@@ -205,6 +205,160 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
+// stageCount reads one stage histogram's _count from a /metrics scrape
+// (0 when the stage never ran).
+func stageCount(t *testing.T, metrics, stage string) int {
+	t.Helper()
+	prefix := fmt.Sprintf("scserved_stage_seconds_count{stage=%q} ", stage)
+	for _, line := range strings.Split(metrics, "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			var n int
+			if _, err := fmt.Sscan(rest, &n); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// checkItemsMatchSequential asserts every batch item is 200 and
+// byte-identical to the sequential /v1/bill response for its load.
+func checkItemsMatchSequential(t *testing.T, ts *httptest.Server, spec json.RawMessage, loads []LoadSpec, env batchEnvelope, monthly bool) {
+	t.Helper()
+	path := "/v1/bill"
+	if monthly {
+		path += "?monthly=1"
+	}
+	if env.Count != len(loads) || len(env.Items) != len(loads) {
+		t.Fatalf("count %d, %d items, want %d", env.Count, len(env.Items), len(loads))
+	}
+	for i, load := range loads {
+		seq, want := postBill(t, ts, path, BillRequest{Contract: spec, Load: load})
+		if seq.StatusCode != http.StatusOK {
+			t.Fatalf("sequential item %d: %d %s", i, seq.StatusCode, want)
+		}
+		want = bytes.TrimSuffix(want, []byte("\n"))
+		if env.Items[i].Status != http.StatusOK {
+			t.Fatalf("item %d status %d: %s", i, env.Items[i].Status, env.Items[i].Body)
+		}
+		if !bytes.Equal(env.Items[i].Body, want) {
+			t.Errorf("item %d (%+v) differs from sequential %s:\n%s\nvs\n%s", i, load, path, env.Items[i].Body, want)
+		}
+	}
+}
+
+// TestBatchRepeatedLoadsMatchSequential: 16 loads drawn from the three
+// named profiles plus one repeated synthetic parameter set are billed
+// once per distinct (spec, load) pair, and every item is still the
+// exact body of its sequential /v1/bill call.
+func TestBatchRepeatedLoadsMatchSequential(t *testing.T) {
+	profiles := []string{"quickstart-month", "peaky-month", "year-in-life"}
+	loads := make([]LoadSpec, 16)
+	for i := range loads {
+		if i%4 == 3 {
+			// A fresh pointer per item: synthetic loads dedupe by value.
+			loads[i] = LoadSpec{Synthetic: &SyntheticSpec{Days: 10, BaseMW: 9, PeakRatio: 1.7, Seed: 5}}
+		} else {
+			loads[i] = LoadSpec{Profile: profiles[i%3]}
+		}
+	}
+	const distinct = 4
+	spec := specJSON(t, kitchenSinkSpec())
+
+	for _, tc := range []struct {
+		query, engineStage string
+		monthly            bool
+	}{
+		{"", "engine.bill", false},
+		{"?monthly=1", "engine.bill_months", true},
+	} {
+		t.Run(tc.engineStage, func(t *testing.T) {
+			s := NewServer(Config{})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			resp, env, raw := postBatch(t, ts, "/v1/bill/batch"+tc.query, BatchRequest{Contract: spec, Loads: loads})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
+			}
+			// Read the spans before the sequential calls add their own.
+			metrics := scrapeMetrics(t, ts)
+			for _, stage := range []string{tc.engineStage, stageBatchEncode} {
+				if got := stageCount(t, metrics, stage); got != distinct {
+					t.Errorf("%s spans = %d, want one per distinct pair (%d), not one per item (%d)",
+						stage, got, distinct, len(loads))
+				}
+			}
+			checkItemsMatchSequential(t, ts, spec, loads, env, tc.monthly)
+		})
+	}
+}
+
+// TestBatchFeedStaysPerItem: feed resolution stays per item. Repeated
+// loads against a degraded feed each carry the degraded marking of
+// their sequential response, and distinct loads under one dynamic spec
+// are never merged — not even two loads with the same span, which share
+// the flat-feed engine.
+func TestBatchFeedStaysPerItem(t *testing.T) {
+	spec := specJSON(t, dynamicSpec())
+
+	t.Run("degraded", func(t *testing.T) {
+		u := newPriceUpstream(t)
+		u.down.Store(true)
+		_, ts, _ := newFeedServer(t, u, time.Minute)
+		loads := []LoadSpec{
+			{Profile: "quickstart-month"}, {Profile: "quickstart-month"},
+			{Profile: "peaky-month"}, {Profile: "quickstart-month"},
+		}
+		for _, monthly := range []bool{false, true} {
+			path := "/v1/bill/batch"
+			if monthly {
+				path += "?monthly=1"
+			}
+			resp, env, raw := postBatch(t, ts, path, BatchRequest{Contract: spec, Loads: loads})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: batch status %d: %s", path, resp.StatusCode, raw)
+			}
+			if got := resp.Header.Get("X-SCBill-Feed"); got != "degraded" {
+				t.Errorf("%s: X-SCBill-Feed = %q, want degraded", path, got)
+			}
+			for i, it := range env.Items {
+				if !it.Degraded {
+					t.Errorf("%s: item %d not marked degraded", path, i)
+				}
+			}
+			checkItemsMatchSequential(t, ts, spec, loads, env, monthly)
+		}
+	})
+
+	t.Run("flat feed", func(t *testing.T) {
+		s := NewServer(Config{})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		// quickstart-month and peaky-month share a span (one flat-feed
+		// engine), year-in-life does not (a second engine).
+		loads := []LoadSpec{
+			{Profile: "quickstart-month"}, {Profile: "peaky-month"},
+			{Profile: "year-in-life"}, {Profile: "quickstart-month"},
+		}
+		resp, env, raw := postBatch(t, ts, "/v1/bill/batch", BatchRequest{Contract: spec, Loads: loads})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
+		}
+		if st := s.cache.stats(); st.compiles != 2 {
+			t.Errorf("two load spans must compile two flat-feed engines, got %+v", st)
+		}
+		if got := stageCount(t, scrapeMetrics(t, ts), "engine.bill"); got != 3 {
+			t.Errorf("engine.bill spans = %d, want 3 (one per distinct load)", got)
+		}
+		if bytes.Equal(env.Items[0].Body, env.Items[1].Body) {
+			t.Error("two different loads on one flat-feed engine were merged")
+		}
+		checkItemsMatchSequential(t, ts, spec, loads, env, false)
+	})
+}
+
 // BenchmarkBatchVsSequential documents the batch amortization claim:
 // one /v1/bill/batch request over N contracts vs N sequential /v1/bill
 // calls against the same server. Compare ns/op between the two

@@ -30,7 +30,8 @@ const (
 	stageEvaluate      = "evaluate"
 	stageEncode        = "encode"
 	// Batch-aware stages: one batch_evaluate span covers the whole
-	// fan-out across the batch pool, one batch_encode span per item.
+	// fan-out across the batch pool, one batch_encode span per distinct
+	// (spec, load) pair.
 	stageBatchEvaluate = "batch_evaluate"
 	stageBatchEncode   = "batch_encode"
 )

@@ -925,3 +925,30 @@ func TestInlineLoadSources(t *testing.T) {
 		t.Errorf("total %v", bill.Total)
 	}
 }
+
+// TestSyntheticLoadBounded: generator parameters that would allocate an
+// outsized series (or overflow the interval arithmetic) are refused
+// before any sample is generated; the bounds themselves still bill.
+func TestSyntheticLoadBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sp   SyntheticSpec
+		ok   bool
+	}{
+		{"too many days", SyntheticSpec{Days: maxSyntheticDays + 1}, false},
+		{"too many samples", SyntheticSpec{Days: 1000, IntervalMinutes: 1}, false},
+		{"interval overflows to zero", SyntheticSpec{IntervalMinutes: 1 << 53}, false},
+		{"longest span", SyntheticSpec{Days: maxSyntheticDays}, true},
+		{"most samples", SyntheticSpec{Days: maxSyntheticSamples / (24 * 60), IntervalMinutes: 1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			load, err := resolveSynthetic(tc.sp)
+			if tc.ok && (err != nil || load.Len() > maxSyntheticSamples) {
+				t.Fatalf("want a bounded series, got %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatalf("accepted %+v (%d samples)", tc.sp, load.Len())
+			}
+		})
+	}
+}
