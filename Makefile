@@ -173,12 +173,17 @@ chaos:
 		./internal/serve/ ./internal/feed/ ./internal/chaos/ ./internal/resilience/ \
 		> chaos-soak.log 2>&1; status=$$?; cat chaos-soak.log; exit $$status
 
-# Short fuzz pass over the timeseries parsers and transforms and the
-# batch-billing wire decoder.
+# Short fuzz pass over the timeseries parsers and transforms, the
+# batch-billing endpoint, and the request-body scanners: the JSON
+# grammar against json.Valid, the one-pass request decoder against
+# json.Decoder, and the router's key against the spec the backend bills.
 fuzz:
 	$(GO) test ./internal/timeseries/ -fuzz FuzzReadPowerCSV -fuzztime 20s
 	$(GO) test ./internal/timeseries/ -fuzz FuzzResampleWindow -fuzztime 20s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzBatchRequest -fuzztime 20s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzSkip -fuzztime 20s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
+	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzRoutingKey -fuzztime 20s
 
 clean:
 	$(GO) clean ./...

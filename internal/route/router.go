@@ -58,12 +58,8 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/resilience"
+	"repro/internal/wire"
 )
-
-// maxBodyBytes mirrors the backend's request-body cap; the router
-// buffers bodies (for hashing and retries) so it enforces the same
-// bound.
-const maxBodyBytes = 16 << 20
 
 // DeadlineHeader carries the remaining request budget downstream in
 // integer milliseconds. The router stamps it on every forward;
@@ -362,26 +358,47 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // routingKey derives the consistent-hash key from a request body: the
-// canonical hash of the first contract spec it carries (`contract`, or
-// `contracts[0]` for batch). This is exactly the backends' engine-LRU
-// key, which is what makes sharding keep their caches hot. Returns
-// ok=false when the body has no parseable spec.
+// canonical hash of the contract spec the backend bills it against
+// (`contract`, else `contracts[0]` for batch). This is exactly the
+// backends' engine-LRU key, which is what makes sharding keep their
+// caches hot. The body is scanned, not decoded: one pass over the
+// top-level object with the backends' member-matching rule (keys
+// case-folded, the last duplicate wins, the first JSON value counts and
+// trailing bytes are ignored, as json.Decoder does), then
+// ParseSpec/HashSpec on the spec's bytes alone. Returns ok=false when
+// the body has no parseable spec.
 func routingKey(body []byte) (string, bool) {
-	if len(body) == 0 {
+	i := wire.Space(body, 0)
+	if i == len(body) || body[i] != '{' {
 		return "", false
 	}
-	var env struct {
-		Contract  json.RawMessage   `json:"contract"`
-		Contracts []json.RawMessage `json:"contracts"`
+	var single, first []byte
+	_, err := wire.Object(body, i, 0, func(key []byte, _, v int) (int, error) {
+		switch {
+		case wire.Key(key, "contract"):
+			end, err := wire.Skip(body, v, 1)
+			single = body[v:end]
+			return end, err
+		case wire.Key(key, "contracts"):
+			first = nil
+			if body[v] != '[' {
+				return wire.Skip(body, v, 1)
+			}
+			return wire.Array(body, v, 1, func(e int) (int, error) {
+				end, err := wire.Skip(body, e, 2)
+				if first == nil {
+					first = body[e:end]
+				}
+				return end, err
+			})
+		}
+		return wire.Skip(body, v, 1)
+	})
+	raw := single
+	if raw == nil {
+		raw = first
 	}
-	if err := json.Unmarshal(body, &env); err != nil {
-		return "", false
-	}
-	raw := env.Contract
-	if len(raw) == 0 && len(env.Contracts) > 0 {
-		raw = env.Contracts[0]
-	}
-	if len(raw) == 0 {
+	if err != nil || raw == nil {
 		return "", false
 	}
 	spec, err := contract.ParseSpec(raw)
@@ -490,7 +507,9 @@ type proxyState struct {
 // upstream 502/503 relays (it is the truth); with no response at all
 // the router answers 502.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	// The body is buffered once, for the routing key and for retries,
+	// under the backends' bound.
+	body, err := wire.ReadBody(w, r)
 	if err != nil {
 		rt.metrics.observeRequest(r.URL.Path, http.StatusBadRequest)
 		writeRouterError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
@@ -724,7 +743,7 @@ func (st *proxyState) fail(at *attempt) {
 		rt.metrics.observeBackend(at.b.name, at.resp.StatusCode)
 		st.lastStatus = at.resp.StatusCode
 		st.lastHeader = at.resp.Header
-		st.lastBody, _ = io.ReadAll(io.LimitReader(at.resp.Body, maxBodyBytes))
+		st.lastBody, _ = io.ReadAll(io.LimitReader(at.resp.Body, wire.MaxBodyBytes))
 		at.resp.Body.Close()
 	} else {
 		rt.metrics.observeBackend(at.b.name, 0)

@@ -29,13 +29,9 @@ import (
 	"repro/internal/units"
 )
 
-// maxBodyBytes bounds request bodies (inline CSV year at one-minute
-// resolution fits comfortably).
-const maxBodyBytes = 16 << 20
-
-// Synthetic loads are bounded like inline ones, which maxBodyBytes caps
-// at a few million samples: at most ten years, and at most 2^20 samples
-// (about two years at one-minute resolution).
+// Synthetic loads are bounded like inline ones, which
+// wire.MaxBodyBytes caps at a few million samples: at most ten years,
+// and at most 2^20 samples (about two years at one-minute resolution).
 const (
 	maxSyntheticDays    = 3660
 	maxSyntheticSamples = 1 << 20
@@ -410,9 +406,9 @@ func markDegraded(data []byte, reason string) []byte {
 	return b.Bytes()
 }
 
-func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBill(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req BillRequest
-	if !decodeBody(w, r, &req) {
+	if !parseBody(w, body, &req) {
 		return
 	}
 	load, err := resolveLoad(req.Load)
@@ -506,9 +502,9 @@ func degradedReason(fr feedResolution) string {
 	return ""
 }
 
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req AdviseRequest
-	if !decodeBody(w, r, &req) {
+	if !parseBody(w, body, &req) {
 		return
 	}
 	if len(req.Candidates) == 0 {
@@ -718,17 +714,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		Status   string `json:"status"`
 		Inflight int    `json:"inflight"`
 	}{status, s.Inflight()})
-}
-
-// decodeBody parses the JSON request body into dst, writing a 400 and
-// returning false on failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	return true
 }
 
 // writeEvalError maps an evaluation error onto a status: deadline and

@@ -101,9 +101,9 @@ func batchEvalStatus(err error) (int, []byte) {
 	return http.StatusBadRequest, batchErrorBody(err.Error())
 }
 
-func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req BatchRequest
-	if !decodeBody(w, r, &req) {
+	if !parseBody(w, body, &req) {
 		return
 	}
 	specs, loadSpecs, err := req.shape()

@@ -48,9 +48,9 @@ type OptimizeRequest struct {
 	Search      *SearchSpec          `json:"search,omitempty"`
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req OptimizeRequest
-	if !decodeBody(w, r, &req) {
+	if !parseBody(w, body, &req) {
 		return
 	}
 	opts := optimize.Options{}

@@ -42,11 +42,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -58,6 +56,7 @@ import (
 
 	"repro/internal/feed"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Config tunes the service layer. The zero value is usable: every field
@@ -280,7 +279,7 @@ func (s *Server) requestBudget(r *http.Request) (budget time.Duration, propagate
 // propagated X-SCBill-Deadline-Ms), and the bounded concurrency queue
 // with load shedding. The path selects the endpoint class tracked for
 // the Retry-After estimate.
-func (s *Server) gated(path string, h http.HandlerFunc) http.Handler {
+func (s *Server) gated(path string, h func(http.ResponseWriter, *http.Request, []byte)) http.Handler {
 	class := classFor(path)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !s.beginRequest() {
@@ -308,20 +307,18 @@ func (s *Server) gated(path string, h http.HandlerFunc) http.Handler {
 		// once the request body has been consumed, so without this a
 		// hung-up client would hold its queue token — invisible — until
 		// the deadline. With the body drained, a disconnect cancels the
-		// request context and unparks the waiter immediately.
-		if r.Body != nil && r.Body != http.NoBody {
-			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-				return
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
+		// request context and unparks the waiter immediately. The
+		// handler decodes these bytes; nothing reads r.Body again.
+		body, err := wire.ReadBody(w, r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+			return
 		}
 
 		cm := s.metrics.class(class)
 		cm.pending.Add(1)
 		wait := time.Now()
-		err := s.limiter.acquire(ctx)
+		err = s.limiter.acquire(ctx)
 		s.stages.Observe(stageAdmissionWait, time.Since(wait).Seconds())
 		if err != nil {
 			cm.pending.Add(-1)
@@ -352,7 +349,7 @@ func (s *Server) gated(path string, h http.HandlerFunc) http.Handler {
 		defer cm.pending.Add(-1)
 		defer s.limiter.release()
 		serviceStart := time.Now()
-		h(w, r)
+		h(w, r, body)
 		s.metrics.observeGated(class, time.Since(serviceStart))
 	})
 }
