@@ -1,19 +1,19 @@
-// Package metricname lints the hand-rolled Prometheus exposition in
-// internal/serve, internal/obs, and internal/route.
+// Package metricname lints Prometheus names and exposition text.
 //
-// Invariant guarded: the fleet writes its /metrics pages by hand (the
-// repo is dependency-free), so nothing but convention keeps the metric
-// namespaces coherent. Each scope owns one namespace — the backend
-// mints scserved_* series, the router scroute_* — and a series minted
-// in the wrong package would collide (or silently vanish) when both
-// processes are scraped side by side. The analyzer checks every string
-// literal: namespace tokens must match <ns>_[a-z_]+ with the
-// conventional unit/kind suffixes and belong to the package's own
-// namespace; "# TYPE" headers must agree with the name (counters end
-// in _total, gauges don't, histograms are named for their unit:
-// _seconds or _bytes); and the _bucket/_sum/_count series of a
-// histogram are emitted only by obs.WriteProm — hand-rolling them
-// elsewhere forks the exposition format.
+// Invariant guarded: both daemons render /metrics through one writer,
+// obs.Metrics, which checks each family's kind suffix (_total, and
+// _seconds or _bytes for histograms) when the family is registered.
+// What registration cannot see is which process mints a name. Each
+// scope owns one namespace — the backend mints scserved_* series, the
+// router scroute_* — and a series minted in the wrong package would
+// collide (or silently vanish) when both processes are scraped side by
+// side. In internal/serve, internal/route and internal/obs the
+// analyzer checks every string literal: namespace tokens must match
+// <ns>_[a-z_]+ and belong to the package's own namespace, and the
+// _bucket/_sum/_count series of a histogram appear only in
+// internal/obs, which renders them. Everywhere outside internal/obs a
+// literal holding an exposition header is reported: a page written by
+// hand forks the format and skips the registration checks.
 package metricname
 
 import (
@@ -33,16 +33,16 @@ var scopes = []string{
 }
 
 var (
-	tokenRx = regexp.MustCompile(`(?:scserved|scroute)_[A-Za-z0-9_]+`)
-	nameRx  = regexp.MustCompile(`^(?:scserved|scroute)_[a-z_]+$`)
-	typeRx  = regexp.MustCompile(`# TYPE\s+(\S+)\s+(\S+)`)
+	tokenRx  = regexp.MustCompile(`(?:scserved|scroute)_[A-Za-z0-9_]+`)
+	nameRx   = regexp.MustCompile(`^(?:scserved|scroute)_[a-z_]+$`)
+	headerRx = regexp.MustCompile(`#\s+(?:HELP|TYPE)\s`)
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "metricname",
 	Doc: "require Prometheus names in internal/serve, internal/obs, and " +
 		"internal/route to match their package's namespace (scserved_ or " +
-		"scroute_) with suffixes agreeing with the # TYPE kind",
+		"scroute_), and exposition headers to be written only by internal/obs",
 	Run: run,
 }
 
@@ -60,20 +60,25 @@ func bannedNamespace(pass *analysis.Pass) string {
 }
 
 func run(pass *analysis.Pass) error {
-	if !analysis.InScope(pass.Pkg, scopes...) {
-		return nil
-	}
-	handRolledOK := analysis.InScope(pass.Pkg, "internal/obs")
+	inObs := analysis.InScope(pass.Pkg, "internal/obs")
+	checkNames := analysis.InScope(pass.Pkg, scopes...)
 	banned := bannedNamespace(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.BasicLit:
-				if n.Kind == token.STRING {
-					checkLiteral(pass, n, handRolledOK, banned)
-				}
-			case *ast.CallExpr:
-				checkWriteProm(pass, n)
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			text, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				return true
+			}
+			if !inObs && headerRx.MatchString(text) {
+				pass.Reportf(lit.Pos(),
+					"exposition header written outside internal/obs; declare the family on an obs.Metrics set")
+			}
+			if checkNames {
+				checkNamesIn(pass, lit, text, inObs, banned)
 			}
 			return true
 		})
@@ -81,11 +86,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func checkLiteral(pass *analysis.Pass, lit *ast.BasicLit, handRolledOK bool, banned string) {
-	text, err := strconv.Unquote(lit.Value)
-	if err != nil {
-		return
-	}
+func checkNamesIn(pass *analysis.Pass, lit *ast.BasicLit, text string, inObs bool, banned string) {
 	for _, tok := range tokenRx.FindAllString(text, -1) {
 		if !nameRx.MatchString(tok) {
 			pass.Reportf(lit.Pos(),
@@ -97,29 +98,9 @@ func checkLiteral(pass *analysis.Pass, lit *ast.BasicLit, handRolledOK bool, ban
 				"metric name %q is outside this package's namespace (the backend mints scserved_*, the router scroute_*)", tok)
 			continue
 		}
-		if !handRolledOK && histogramSeriesSuffix(tok) {
+		if !inObs && histogramSeriesSuffix(tok) {
 			pass.Reportf(lit.Pos(),
-				"hand-rolled histogram series %q; the _bucket/_sum/_count lines are emitted by obs.WriteProm", tok)
-		}
-	}
-	for _, m := range typeRx.FindAllStringSubmatch(text, -1) {
-		name, kind := m[1], m[2]
-		if !strings.HasPrefix(name, "scserved_") && !strings.HasPrefix(name, "scroute_") {
-			continue
-		}
-		switch kind {
-		case "counter":
-			if !strings.HasSuffix(name, "_total") {
-				pass.Reportf(lit.Pos(), "counter %q must end in _total", name)
-			}
-		case "gauge":
-			if strings.HasSuffix(name, "_total") {
-				pass.Reportf(lit.Pos(), "gauge %q must not end in _total (that suffix is for counters)", name)
-			}
-		case "histogram":
-			if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes") {
-				pass.Reportf(lit.Pos(), "histogram %q must be named for its unit (_seconds or _bytes)", name)
-			}
+				"hand-rolled histogram series %q; the _bucket/_sum/_count lines are rendered by obs.Metrics", tok)
 		}
 	}
 }
@@ -130,27 +111,4 @@ func histogramSeriesSuffix(name string) bool {
 	return strings.HasSuffix(name, "_bucket") ||
 		strings.HasSuffix(name, "_sum") ||
 		strings.HasSuffix(name, "_count")
-}
-
-// checkWriteProm requires the metric-family name passed to a WriteProm
-// call to carry a histogram unit suffix.
-func checkWriteProm(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := analysis.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Name() != "WriteProm" {
-		return
-	}
-	for _, arg := range call.Args {
-		lit, ok := ast.Unparen(arg).(*ast.BasicLit)
-		if !ok || lit.Kind != token.STRING {
-			continue
-		}
-		name, err := strconv.Unquote(lit.Value)
-		if err != nil || (!strings.HasPrefix(name, "scserved_") && !strings.HasPrefix(name, "scroute_")) {
-			continue
-		}
-		if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes") {
-			pass.Reportf(lit.Pos(),
-				"histogram family %q must be named for its unit (_seconds or _bytes)", name)
-		}
-	}
 }

@@ -1,6 +1,6 @@
 // Package writer sits under internal/obs, the one package allowed to
-// write the _bucket/_sum/_count series by hand — it IS the histogram
-// exposition implementation. Name-pattern rules still apply here.
+// write exposition headers and the _bucket/_sum/_count series — it IS
+// the renderer. Name-pattern rules still apply here.
 package writer
 
 import (
@@ -9,6 +9,7 @@ import (
 )
 
 func expose(w io.Writer) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", "scserved_request_seconds", "Latency.", "scserved_request_seconds", "histogram")
 	fmt.Fprintf(w, "scserved_request_seconds_bucket{le=\"+Inf\"} 9\n")
 	fmt.Fprintf(w, "scserved_request_seconds_sum 1.25\n")
 	fmt.Fprintf(w, "scserved_request_seconds_count 9\n")

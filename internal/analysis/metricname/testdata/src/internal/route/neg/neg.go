@@ -1,34 +1,19 @@
-// Package neg holds compliant router exposition shapes that must stay
-// silent: the scroute_ namespace with conventional suffixes, histogram
-// series via WriteProm.
+// Package neg holds compliant router names that must stay silent: the
+// scroute_ namespace, declared on a metric set.
 package neg
 
-import (
-	"fmt"
-	"io"
-)
+type set struct{}
 
-type snapshot struct{}
+func (set) Counter(name, help string)                          {}
+func (set) CounterVec(name, help string, labels ...string)     {}
+func (set) Histogram(name, help string)                        {}
+func (set) FloatGaugeFunc(name, help string, f func() float64) {}
 
-func (snapshot) WriteProm(w io.Writer, name, labels string) {}
-
-func emit(w io.Writer, s snapshot) {
-	fmt.Fprintf(w, "# TYPE scroute_requests_total counter\n")
-	fmt.Fprintf(w, "scroute_requests_total{path=%q,code=%q} %d\n", "/v1/bill", "200", 7)
-	fmt.Fprintf(w, "# TYPE scroute_backend_healthy gauge\n")
-	fmt.Fprintf(w, "scroute_backend_healthy{backend=%q} 1\n", "http://127.0.0.1:9101")
-	fmt.Fprintf(w, "# TYPE scroute_upstream_seconds histogram\n")
-	s.WriteProm(w, "scroute_upstream_seconds", "")
-	// The brownout families: hedge/budget/deadline counters end in
-	// _total, the live token level is a plain gauge.
-	fmt.Fprintf(w, "# TYPE scroute_hedges_total counter\n")
-	fmt.Fprintf(w, "scroute_hedges_total %d\n", 4)
-	fmt.Fprintf(w, "# TYPE scroute_hedge_wins_total counter\n")
-	fmt.Fprintf(w, "# TYPE scroute_retry_budget_exhausted_total counter\n")
-	fmt.Fprintf(w, "# TYPE scroute_try_timeouts_total counter\n")
-	fmt.Fprintf(w, "# TYPE scroute_deadline_expired_total counter\n")
-	fmt.Fprintf(w, "# TYPE scroute_retry_budget_tokens gauge\n")
-	fmt.Fprintf(w, "scroute_retry_budget_tokens %g\n", 10.0)
-	// Non-fleet names are someone else's namespace.
-	fmt.Fprintf(w, "# TYPE go_goroutines gauge\n")
+func declare(m set) {
+	m.CounterVec("scroute_requests_total", "Requests relayed to clients by path and status code.", "path", "code")
+	m.Histogram("scroute_upstream_seconds", "")
+	// The brownout families.
+	m.Counter("scroute_hedges_total", "")
+	m.Counter("scroute_retry_budget_exhausted_total", "")
+	m.FloatGaugeFunc("scroute_retry_budget_tokens", "", nil)
 }

@@ -7,24 +7,15 @@ import (
 	"io"
 )
 
-type snapshot struct{}
+type set struct{}
 
-func (snapshot) WriteProm(w io.Writer, name, labels string) {}
+func (set) Counter(name, help string) {}
 
-func emit(w io.Writer, s snapshot) {
-	fmt.Fprintf(w, "scroute_BadName 1\n")                           // want `metric name "scroute_BadName" does not match`
-	fmt.Fprintf(w, "# TYPE scroute_requests counter\n")             // want `counter "scroute_requests" must end in _total`
-	fmt.Fprintf(w, "# TYPE scroute_healthy_total gauge\n")          // want `gauge "scroute_healthy_total" must not end in _total`
-	fmt.Fprintf(w, "# TYPE scroute_upstream histogram\n")           // want `histogram "scroute_upstream" must be named for its unit`
+func declare(w io.Writer, m set) {
+	m.Counter("scroute_BadName", "")                                // want `metric name "scroute_BadName" does not match`
 	fmt.Fprintf(w, "scroute_upstream_seconds_bucket{le=\"1\"} 3\n") // want `hand-rolled histogram series "scroute_upstream_seconds_bucket"`
-	s.WriteProm(w, "scroute_upstream", "")                          // want `histogram family "scroute_upstream" must be named for its unit`
-	// The brownout counters carry the same _total obligation, and the
-	// budget token level is a gauge, not a counter.
-	fmt.Fprintf(w, "# TYPE scroute_hedges counter\n")                  // want `counter "scroute_hedges" must end in _total`
-	fmt.Fprintf(w, "# TYPE scroute_retry_budget_exhausted counter\n")  // want `counter "scroute_retry_budget_exhausted" must end in _total`
-	fmt.Fprintf(w, "# TYPE scroute_deadline_expired counter\n")        // want `counter "scroute_deadline_expired" must end in _total`
-	fmt.Fprintf(w, "# TYPE scroute_retry_budget_tokens_total gauge\n") // want `gauge "scroute_retry_budget_tokens_total" must not end in _total`
 	// The router must not mint backend series: side-by-side scrapes
 	// would collide.
-	fmt.Fprintf(w, "scserved_requests_total 1\n") // want `metric name "scserved_requests_total" is outside this package's namespace`
+	m.Counter("scserved_requests_total", "")               // want `metric name "scserved_requests_total" is outside this package's namespace`
+	fmt.Fprintln(w, "# TYPE scroute_hedges_total counter") // want `exposition header written outside internal/obs`
 }

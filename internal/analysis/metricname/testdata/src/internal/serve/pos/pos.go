@@ -7,16 +7,17 @@ import (
 	"io"
 )
 
-type snapshot struct{}
+type set struct{}
 
-func (snapshot) WriteProm(w io.Writer, name, labels string) {}
+func (set) Counter(name, help string) {}
 
-func emit(w io.Writer, s snapshot) {
-	fmt.Fprintf(w, "scserved_BadName 1\n")                          // want `metric name "scserved_BadName" does not match`
-	fmt.Fprintf(w, "scserved_http_5xx_total 0\n")                   // want `metric name "scserved_http_5xx_total" does not match`
-	fmt.Fprintf(w, "# TYPE scserved_requests counter\n")            // want `counter "scserved_requests" must end in _total`
-	fmt.Fprintf(w, "# TYPE scserved_active_total gauge\n")          // want `gauge "scserved_active_total" must not end in _total`
-	fmt.Fprintf(w, "# TYPE scserved_latency histogram\n")           // want `histogram "scserved_latency" must be named for its unit`
+func declare(w io.Writer, m set) {
+	m.Counter("scserved_BadName", "")                               // want `metric name "scserved_BadName" does not match`
+	m.Counter("scserved_http_5xx_total", "")                        // want `metric name "scserved_http_5xx_total" does not match`
 	fmt.Fprintf(w, "scserved_request_seconds_bucket{le=\"1\"} 3\n") // want `hand-rolled histogram series "scserved_request_seconds_bucket"`
-	s.WriteProm(w, "scserved_latency", "")                          // want `histogram family "scserved_latency" must be named for its unit`
+	// The backend must not mint router series.
+	m.Counter("scroute_requests_total", "") // want `metric name "scroute_requests_total" is outside this package's namespace`
+	// Hand-written exposition skips the registration checks.
+	fmt.Fprintf(w, "# TYPE scserved_requests_total counter\n") // want `exposition header written outside internal/obs`
+	fmt.Fprintf(w, "# HELP %s %s\n", "scserved_in_flight", "") // want `exposition header written outside internal/obs`
 }

@@ -3,12 +3,11 @@ package obs
 // Histograms in the fixed-bucket, cumulative style Prometheus expects.
 // A Histogram is a standalone latency distribution; a Registry is a
 // lazily-populated map of named histograms sharing one bucket layout,
-// used as the span sink (one histogram per span name). Both are safe
-// for concurrent use.
+// used as the span sink (one histogram per span name) and rendered as
+// one labelled family by Metrics.Histograms. Both are safe for
+// concurrent use.
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"sync"
@@ -115,32 +114,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return 0
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// WriteProm writes the snapshot as Prometheus exposition lines:
-// cumulative name_bucket series including the +Inf bucket, then
-// name_sum and name_count. labels, when non-empty, is an inner label
-// list ready to merge with le (e.g. `stage="compile"`). The caller
-// writes the # HELP / # TYPE header once per metric family.
-func (s HistogramSnapshot) WriteProm(w io.Writer, name, labels string) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum uint64
-	for i, ub := range s.Bounds {
-		cum += s.Counts[i]
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, FormatBound(ub), cum)
-	}
-	cum += s.Counts[len(s.Bounds)]
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, s.Sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
-		return
-	}
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, s.Sum)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, s.Count)
 }
 
 // FormatBound renders a bucket bound the way Prometheus client

@@ -4,9 +4,10 @@
 // logging via log/slog. The paper's management case studies (the CSCS
 // procurement redesign, LANL's 15 min–1 h demand-response window) hinge
 // on knowing where time and peak power go; this package gives the
-// billing daemon and the CLIs that visibility without pulling in a
-// metrics client library — histograms render themselves in Prometheus
-// text exposition format.
+// billing daemon, the router and the CLIs that visibility without
+// pulling in a metrics client library: each daemon declares its
+// families once on a Metrics set, which checks their names and renders
+// the /metrics page in Prometheus text exposition format.
 //
 // Span hooks are designed to cost nothing when unused: Span consults
 // the context for a Registry and returns a no-op closure when none is

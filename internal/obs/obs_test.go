@@ -66,9 +66,12 @@ func TestHistogramBucketsAndExposition(t *testing.T) {
 		}
 	}
 
-	var b strings.Builder
-	s.WriteProm(&b, "t_seconds", "")
-	text := b.String()
+	m := NewMetrics()
+	mh := m.Histogram("t_seconds", "T.")
+	for _, v := range []float64{0.0005, 0.002, 0.05, 99} {
+		mh.Observe(v)
+	}
+	text := scrape(m)
 	for _, want := range []string{
 		`t_seconds_bucket{le="0.001"} 1`,
 		`t_seconds_bucket{le="0.01"} 2`,
@@ -81,9 +84,13 @@ func TestHistogramBucketsAndExposition(t *testing.T) {
 		}
 	}
 
-	b.Reset()
-	s.WriteProm(&b, "t_seconds", `stage="compile"`)
-	labeled := b.String()
+	reg := NewRegistry(0.001, 0.01, 0.1)
+	for _, v := range []float64{0.0005, 0.002, 0.05, 99} {
+		reg.Observe("compile", v)
+	}
+	m = NewMetrics()
+	m.Histograms("t_seconds", "T.", "stage", reg)
+	labeled := scrape(m)
 	for _, want := range []string{
 		`t_seconds_bucket{stage="compile",le="+Inf"} 4`,
 		`t_seconds_sum{stage="compile"}`,

@@ -15,8 +15,6 @@ import (
 	"errors"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // ErrOpen is returned by Allow/Do while the breaker rejects calls.
@@ -48,18 +46,6 @@ func (s State) String() string {
 	}
 }
 
-// BreakerObs are the optional internal/obs instruments a breaker
-// drives; any field may be nil. StateGauge tracks the numeric state,
-// Transitions counts every state change, Opens counts trips into open
-// (from closed or a failed probe), Rejections counts calls refused
-// with ErrOpen.
-type BreakerObs struct {
-	StateGauge  *obs.Gauge
-	Transitions *obs.Counter
-	Opens       *obs.Counter
-	Rejections  *obs.Counter
-}
-
 // BreakerConfig tunes a Breaker. The zero value is usable.
 type BreakerConfig struct {
 	// FailureThreshold is how many consecutive closed-state failures
@@ -79,8 +65,6 @@ type BreakerConfig struct {
 	// goroutine whose Allow/done triggered the change, before that
 	// call returns.
 	OnTransition func(from, to State)
-	// Obs wires the breaker to metrics instruments.
-	Obs BreakerObs
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -133,13 +117,11 @@ type transition struct{ from, to State }
 
 // NewBreaker builds a breaker in the closed state.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	b := &Breaker{cfg: cfg.withDefaults()}
-	b.cfg.Obs.StateGauge.Set(int64(Closed))
-	return b
+	return &Breaker{cfg: cfg.withDefaults()}
 }
 
-// transitionLocked moves the breaker to a new state, firing hooks and
-// instruments. Callers hold b.mu.
+// transitionLocked moves the breaker to a new state, counting it and
+// queueing the OnTransition hook. Callers hold b.mu.
 func (b *Breaker) transitionLocked(to State) {
 	from := b.state
 	if from == to {
@@ -150,13 +132,10 @@ func (b *Breaker) transitionLocked(to State) {
 	if to == Open {
 		b.stats.Opens++
 		b.openedAt = b.cfg.Now()
-		b.cfg.Obs.Opens.Inc()
 	}
 	if to != HalfOpen {
 		b.probes = 0
 	}
-	b.cfg.Obs.StateGauge.Set(int64(to))
-	b.cfg.Obs.Transitions.Inc()
 	if b.cfg.OnTransition != nil {
 		b.pending = append(b.pending, transition{from, to})
 	}
@@ -217,7 +196,6 @@ func (b *Breaker) admit() (done func(success bool), err error) {
 	case Open:
 		if b.cfg.Now().Sub(b.openedAt) < b.cfg.OpenTimeout {
 			b.stats.Rejections++
-			b.cfg.Obs.Rejections.Inc()
 			return nil, ErrOpen
 		}
 		// Cooldown over: become half-open and give this caller the
@@ -228,7 +206,6 @@ func (b *Breaker) admit() (done func(success bool), err error) {
 	case HalfOpen:
 		if b.probes >= b.cfg.ProbeBudget {
 			b.stats.Rejections++
-			b.cfg.Obs.Rejections.Inc()
 			return nil, ErrOpen
 		}
 		b.probes++

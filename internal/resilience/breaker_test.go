@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // fakeClock is a hand-advanced clock for deterministic cooldown tests.
@@ -147,33 +145,24 @@ func TestBreakerDo(t *testing.T) {
 	}
 }
 
-func TestBreakerObsInstruments(t *testing.T) {
+// TestBreakerStatsSequence pins the counters Stats and State report
+// over a trip, a refused call and a recovery; scserved exports them as
+// its feed_breaker families.
+func TestBreakerStatsSequence(t *testing.T) {
 	clock := newFakeClock()
-	var gauge obs.Gauge
-	var transitions, opens, rejections obs.Counter
-	b := NewBreaker(BreakerConfig{
-		FailureThreshold: 1,
-		OpenTimeout:      time.Minute,
-		Now:              clock.Now,
-		Obs: BreakerObs{
-			StateGauge:  &gauge,
-			Transitions: &transitions,
-			Opens:       &opens,
-			Rejections:  &rejections,
-		},
-	})
+	b := testBreaker(clock, 1, time.Minute, 1)
 	fail(t, b)
-	if gauge.Value() != int64(Open) || opens.Value() != 1 || transitions.Value() != 1 {
-		t.Fatalf("after trip: gauge=%d opens=%d transitions=%d", gauge.Value(), opens.Value(), transitions.Value())
+	if st := b.Stats(); b.State() != Open || st.Opens != 1 || st.Transitions != 1 {
+		t.Fatalf("after trip: state=%s opens=%d transitions=%d", b.State(), st.Opens, st.Transitions)
 	}
-	if _, err := b.Allow(); !errors.Is(err, ErrOpen) || rejections.Value() != 1 {
-		t.Fatalf("rejection not counted: err=%v rejections=%d", err, rejections.Value())
+	if _, err := b.Allow(); !errors.Is(err, ErrOpen) || b.Stats().Rejections != 1 {
+		t.Fatalf("rejection not counted: err=%v rejections=%d", err, b.Stats().Rejections)
 	}
 	clock.Advance(2 * time.Minute)
 	done, _ := b.Allow()
 	done(true)
-	if gauge.Value() != int64(Closed) || transitions.Value() != 3 {
-		t.Fatalf("after recovery: gauge=%d transitions=%d (want closed after open→half-open→closed)", gauge.Value(), transitions.Value())
+	if st := b.Stats(); b.State() != Closed || st.Transitions != 3 {
+		t.Fatalf("after recovery: state=%s transitions=%d (want closed after open→half-open→closed)", b.State(), st.Transitions)
 	}
 }
 

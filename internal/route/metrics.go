@@ -1,51 +1,80 @@
 package route
 
-// Router-side metrics in the same hand-rolled Prometheus text
-// exposition style as internal/serve, under the scroute_ namespace:
-// per-path/code request counts, per-backend forward outcomes, breaker
-// ejections, retries, and an upstream latency histogram.
+// The router's /metrics page, declared on an obs.Metrics set under the
+// scroute_ namespace: per-path/code request counts, per-backend forward
+// outcomes, breaker ejections, retries and hedges, and an upstream
+// latency histogram.
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 type metrics struct {
-	mu              sync.Mutex
-	requests        map[string]uint64 // "path|code" -> count, as relayed to the client
-	backendRequests map[string]uint64 // "backend|code" -> count; code "error" = transport failure
-	ejections       map[string]uint64 // backend -> breaker trips into open
+	*obs.Metrics
+	requests        *obs.CounterVec // path, code: as relayed to the client
+	backendRequests *obs.CounterVec // backend, code; code "error" = transport failure
+	ejections       *obs.CounterVec // backend: breaker trips into open
 
-	retries         atomic.Uint64 // forwards re-sent to a lower-ranked backend
-	noBackend       atomic.Uint64 // requests that exhausted every backend
-	hedges          atomic.Uint64 // speculative second attempts launched
-	hedgeWins       atomic.Uint64 // hedges whose response was relayed
-	budgetExhausted atomic.Uint64 // retries/hedges refused by the token budget
-	tryTimeouts     atomic.Uint64 // forwards killed by the per-try timeout
-	deadlineExpired atomic.Uint64 // requests arriving with a spent deadline budget
+	retries         *obs.Counter // forwards re-sent to a lower-ranked backend
+	noBackend       *obs.Counter // requests that exhausted every backend
+	hedges          *obs.Counter // speculative second attempts launched
+	hedgeWins       *obs.Counter // hedges whose response was relayed
+	budgetExhausted *obs.Counter // retries/hedges refused by the token budget
+	tryTimeouts     *obs.Counter // forwards killed by the per-try timeout
+	deadlineExpired *obs.Counter // requests arriving with a spent deadline budget
 
 	upstream *obs.Histogram // seconds per successful forward
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		requests:        make(map[string]uint64),
-		backendRequests: make(map[string]uint64),
-		ejections:       make(map[string]uint64),
-		upstream:        obs.NewHistogram(),
+// newMetrics declares the page. Backend health and the budget balance
+// are read from the router at scrape time.
+func newMetrics(rt *Router) *metrics {
+	r := obs.NewMetrics()
+	m := &metrics{Metrics: r}
+	m.requests = r.CounterVec("scroute_requests_total", "Requests relayed to clients by path and status code.", "path", "code")
+	m.backendRequests = r.CounterVec("scroute_backend_requests_total", `Forward attempts by backend and outcome (code, or "error" for transport failures).`, "backend", "code")
+	m.ejections = r.CounterVec("scroute_backend_ejections_total", "Breaker trips that ejected a backend from the ring.", "backend")
+
+	byName := append([]*backend(nil), rt.backends...)
+	sort.Slice(byName, func(i, j int) bool { return byName[i].name < byName[j].name })
+	r.Func(obs.GaugeKind, "scroute_backend_healthy", "Whether the backend is currently eligible for forwards (last poll passed, breaker not open).", []string{"backend"}, func(emit obs.Emit) {
+		for _, b := range byName {
+			healthy := 0.0
+			if b.eligible() {
+				healthy = 1
+			}
+			emit(healthy, b.name)
+		}
+	})
+
+	m.retries = r.Counter("scroute_retries_total", "Forwards re-sent to a lower-ranked backend after a failure.")
+	m.noBackend = r.Counter("scroute_no_backend_total", "Requests that exhausted every backend without a relayable response.")
+	m.hedges = r.Counter("scroute_hedges_total", "Speculative second attempts launched after the hedge delay.")
+	m.hedgeWins = r.Counter("scroute_hedge_wins_total", "Hedged attempts whose response was the one relayed to the client.")
+	m.budgetExhausted = r.Counter("scroute_retry_budget_exhausted_total", "Failover retries and hedges refused because the token budget was spent.")
+	m.tryTimeouts = r.Counter("scroute_try_timeouts_total", "Forwards killed by the per-try timeout (gray-failure detector).")
+	m.deadlineExpired = r.Counter("scroute_deadline_expired_total", "Requests whose propagated X-SCBill-Deadline-Ms was already spent on arrival.")
+	r.FloatGaugeFunc("scroute_retry_budget_tokens", "Current balance of the shared retry/hedge token bucket.", func() float64 { return rt.budget.Stats().Tokens })
+	m.upstream = r.Histogram("scroute_upstream_seconds", "Latency of successful forwards, send to response headers.")
+	return m
+}
+
+// pathLabel bounds the path label to the routes scserved serves:
+// anything else a client sends counts under "other", so stray paths
+// cannot mint series without limit.
+func pathLabel(path string) string {
+	switch path {
+	case "/v1/bill", "/v1/bill/batch", "/v1/advise", "/v1/optimize",
+		"/v1/survey/roster", "/v1/survey/records", "/v1/survey/typology":
+		return path
 	}
+	return "other"
 }
 
 func (m *metrics) observeRequest(path string, code int) {
-	m.mu.Lock()
-	m.requests[fmt.Sprintf("%s|%d", path, code)]++
-	m.mu.Unlock()
+	m.requests.With(pathLabel(path), obs.CodeLabel(code)).Add(1)
 }
 
 // observeBackend records one forward outcome; code <= 0 means the
@@ -53,117 +82,7 @@ func (m *metrics) observeRequest(path string, code int) {
 func (m *metrics) observeBackend(backend string, code int) {
 	label := "error"
 	if code > 0 {
-		label = fmt.Sprintf("%d", code)
+		label = obs.CodeLabel(code)
 	}
-	m.mu.Lock()
-	m.backendRequests[backend+"|"+label]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) observeEjection(backend string) {
-	m.mu.Lock()
-	m.ejections[backend]++
-	m.mu.Unlock()
-}
-
-// render writes the exposition. healthy maps each backend name to its
-// current eligibility so the gauge reflects live breaker state rather
-// than a counter; budget is a live snapshot of the retry/hedge bucket.
-func (m *metrics) render(w io.Writer, healthy map[string]bool, budget resilience.BudgetStats) {
-	m.mu.Lock()
-	requests := sortedKeys(m.requests)
-	backendReqs := sortedKeys(m.backendRequests)
-	ejections := sortedKeys(m.ejections)
-
-	fmt.Fprintln(w, "# HELP scroute_requests_total Requests relayed to clients by path and status code.")
-	fmt.Fprintln(w, "# TYPE scroute_requests_total counter")
-	for _, k := range requests {
-		path, code := splitKey(k)
-		fmt.Fprintf(w, "scroute_requests_total{path=%q,code=%q} %d\n", path, code, m.requests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP scroute_backend_requests_total Forward attempts by backend and outcome (code, or \"error\" for transport failures).")
-	fmt.Fprintln(w, "# TYPE scroute_backend_requests_total counter")
-	for _, k := range backendReqs {
-		backend, code := splitKey(k)
-		fmt.Fprintf(w, "scroute_backend_requests_total{backend=%q,code=%q} %d\n", backend, code, m.backendRequests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP scroute_backend_ejections_total Breaker trips that ejected a backend from the ring.")
-	fmt.Fprintln(w, "# TYPE scroute_backend_ejections_total counter")
-	for _, k := range ejections {
-		fmt.Fprintf(w, "scroute_backend_ejections_total{backend=%q} %d\n", k, m.ejections[k])
-	}
-	m.mu.Unlock()
-
-	names := make([]string, 0, len(healthy))
-	for name := range healthy {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintln(w, "# HELP scroute_backend_healthy Whether the backend is currently eligible for forwards (last poll passed, breaker not open).")
-	fmt.Fprintln(w, "# TYPE scroute_backend_healthy gauge")
-	for _, name := range names {
-		v := 0
-		if healthy[name] {
-			v = 1
-		}
-		fmt.Fprintf(w, "scroute_backend_healthy{backend=%q} %d\n", name, v)
-	}
-
-	fmt.Fprintln(w, "# HELP scroute_retries_total Forwards re-sent to a lower-ranked backend after a failure.")
-	fmt.Fprintln(w, "# TYPE scroute_retries_total counter")
-	fmt.Fprintf(w, "scroute_retries_total %d\n", m.retries.Load())
-
-	fmt.Fprintln(w, "# HELP scroute_no_backend_total Requests that exhausted every backend without a relayable response.")
-	fmt.Fprintln(w, "# TYPE scroute_no_backend_total counter")
-	fmt.Fprintf(w, "scroute_no_backend_total %d\n", m.noBackend.Load())
-
-	fmt.Fprintln(w, "# HELP scroute_hedges_total Speculative second attempts launched after the hedge delay.")
-	fmt.Fprintln(w, "# TYPE scroute_hedges_total counter")
-	fmt.Fprintf(w, "scroute_hedges_total %d\n", m.hedges.Load())
-
-	fmt.Fprintln(w, "# HELP scroute_hedge_wins_total Hedged attempts whose response was the one relayed to the client.")
-	fmt.Fprintln(w, "# TYPE scroute_hedge_wins_total counter")
-	fmt.Fprintf(w, "scroute_hedge_wins_total %d\n", m.hedgeWins.Load())
-
-	fmt.Fprintln(w, "# HELP scroute_retry_budget_exhausted_total Failover retries and hedges refused because the token budget was spent.")
-	fmt.Fprintln(w, "# TYPE scroute_retry_budget_exhausted_total counter")
-	fmt.Fprintf(w, "scroute_retry_budget_exhausted_total %d\n", m.budgetExhausted.Load())
-
-	fmt.Fprintln(w, "# HELP scroute_try_timeouts_total Forwards killed by the per-try timeout (gray-failure detector).")
-	fmt.Fprintln(w, "# TYPE scroute_try_timeouts_total counter")
-	fmt.Fprintf(w, "scroute_try_timeouts_total %d\n", m.tryTimeouts.Load())
-
-	fmt.Fprintln(w, "# HELP scroute_deadline_expired_total Requests whose propagated X-SCBill-Deadline-Ms was already spent on arrival.")
-	fmt.Fprintln(w, "# TYPE scroute_deadline_expired_total counter")
-	fmt.Fprintf(w, "scroute_deadline_expired_total %d\n", m.deadlineExpired.Load())
-
-	fmt.Fprintln(w, "# HELP scroute_retry_budget_tokens Current balance of the shared retry/hedge token bucket.")
-	fmt.Fprintln(w, "# TYPE scroute_retry_budget_tokens gauge")
-	fmt.Fprintf(w, "scroute_retry_budget_tokens %g\n", budget.Tokens)
-
-	fmt.Fprintln(w, "# HELP scroute_upstream_seconds Latency of successful forwards, send to response headers.")
-	fmt.Fprintln(w, "# TYPE scroute_upstream_seconds histogram")
-	m.upstream.Snapshot().WriteProm(w, "scroute_upstream_seconds", "")
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// splitKey splits a "left|right" metrics key at the last separator, so
-// paths containing no pipe round-trip exactly.
-func splitKey(k string) (string, string) {
-	for i := len(k) - 1; i >= 0; i-- {
-		if k[i] == '|' {
-			return k[:i], k[i+1:]
-		}
-	}
-	return k, ""
+	m.backendRequests.With(backend, label).Add(1)
 }

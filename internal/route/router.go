@@ -181,12 +181,11 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	cfg = cfg.withDefaults()
 	rt := &Router{
-		cfg:     cfg,
-		client:  cfg.Client,
-		byName:  make(map[string]*backend, len(cfg.Backends)),
-		budget:  resilience.NewBudget(resilience.BudgetConfig{Ratio: cfg.BudgetRatio, Burst: cfg.BudgetBurst}),
-		metrics: newMetrics(),
-		mux:     http.NewServeMux(),
+		cfg:    cfg,
+		client: cfg.Client,
+		byName: make(map[string]*backend, len(cfg.Backends)),
+		budget: resilience.NewBudget(resilience.BudgetConfig{Ratio: cfg.BudgetRatio, Burst: cfg.BudgetBurst}),
+		mux:    http.NewServeMux(),
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{}
@@ -206,9 +205,10 @@ func NewRouter(cfg Config) (*Router, error) {
 		rt.names = append(rt.names, name)
 		rt.byName[name] = b
 	}
+	rt.metrics = newMetrics(rt)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
+	rt.mux.Handle("/metrics", rt.metrics)
 	rt.mux.HandleFunc("/", rt.handleProxy)
 	return rt, nil
 }
@@ -219,7 +219,7 @@ func (rt *Router) onTransition(name string) func(from, to resilience.State) {
 	return func(from, to resilience.State) {
 		switch {
 		case to == resilience.Open:
-			rt.metrics.observeEjection(name)
+			rt.metrics.ejections.With(name).Add(1)
 			if rt.cfg.Logger != nil {
 				rt.cfg.Logger.Warn("backend ejected", "backend", name, "from", from.String())
 			}
@@ -326,15 +326,6 @@ func (b *backend) eligible() bool {
 	return b.ready.Load() && b.breaker.State() != resilience.Open
 }
 
-// healthySet maps every backend to its current eligibility.
-func (rt *Router) healthySet() map[string]bool {
-	out := make(map[string]bool, len(rt.backends))
-	for _, b := range rt.backends {
-		out[b.name] = b.eligible()
-	}
-	return out
-}
-
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
@@ -350,11 +341,6 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	writeRouterError(w, http.StatusServiceUnavailable, "no healthy backend")
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.metrics.render(w, rt.healthySet(), rt.budget.Stats())
 }
 
 // routingKey derives the consistent-hash key from a request body: the

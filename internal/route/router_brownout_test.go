@@ -120,9 +120,9 @@ func TestHedgeLoserCanceledPromptly(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("loser context never canceled")
 	}
-	if rt.metrics.hedges.Load() == 0 || rt.metrics.hedgeWins.Load() == 0 {
+	if rt.metrics.hedges.Value() == 0 || rt.metrics.hedgeWins.Value() == 0 {
 		t.Errorf("hedges=%d hedgeWins=%d, want both > 0",
-			rt.metrics.hedges.Load(), rt.metrics.hedgeWins.Load())
+			rt.metrics.hedges.Value(), rt.metrics.hedgeWins.Value())
 	}
 }
 
@@ -231,7 +231,7 @@ func TestPerTryTimeoutEjectsHungBackend(t *testing.T) {
 			t.Fatalf("request %d through hung owner = %d %s, want failover 200", i, resp.StatusCode, out)
 		}
 	}
-	if rt.metrics.tryTimeouts.Load() == 0 {
+	if rt.metrics.tryTimeouts.Value() == 0 {
 		t.Error("hung backend produced no per-try timeouts")
 	}
 	waitUntil(t, "the hung owner's breaker to open", func() bool {
@@ -266,7 +266,7 @@ func TestBudgetGatesHedgesAndRetries(t *testing.T) {
 			t.Fatalf("storm request = %d, want relayed 502", resp.StatusCode)
 		}
 	}
-	if rt.metrics.budgetExhausted.Load() == 0 {
+	if rt.metrics.budgetExhausted.Value() == 0 {
 		t.Error("storm never exhausted the retry budget")
 	}
 	attempted := sb.hits.Load() + spare.hits.Load()
@@ -478,7 +478,7 @@ func TestWaitDrainsLoserSettlement(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("hedged request = %d %s, want the hedge's 200", resp.StatusCode, out)
 	}
-	if rt.metrics.hedges.Load() == 0 {
+	if rt.metrics.hedges.Value() == 0 {
 		t.Fatal("no hedge fired; the settle goroutine was never exercised")
 	}
 

@@ -208,14 +208,14 @@ func TestFailoverHidesDeadBackend(t *testing.T) {
 	if state := rt.byName[owner].breaker.State(); state.String() != "open" {
 		t.Errorf("dead owner's breaker = %s, want open", state)
 	}
-	if rt.metrics.retries.Load() == 0 {
+	if rt.metrics.retries.Value() == 0 {
 		t.Error("failover must count retries")
 	}
 	// Once ejected, forwards stop trying the dead backend entirely, so
 	// later requests retry nothing.
-	before := rt.metrics.retries.Load()
+	before := rt.metrics.retries.Value()
 	postJSON(t, front.URL+"/v1/bill", body)
-	if got := rt.metrics.retries.Load(); got != before {
+	if got := rt.metrics.retries.Value(); got != before {
 		t.Errorf("ejected backend still being tried: retries %d -> %d", before, got)
 	}
 }

@@ -96,7 +96,7 @@ func checkOutcome(t *testing.T, o soakOutcome, what string) {
 // followed by a concurrent burst (meaningful under -race). Interleaved
 // static-tariff bills must stay byte-identical to a feed-less server's.
 func TestChaosSoak(t *testing.T) {
-	s, ts, injector := newChaosServer(t, chaos.Config{
+	_, ts, injector := newChaosServer(t, chaos.Config{
 		Seed:          2016, // the survey year; any seed works, this one is pinned for replay
 		ErrorRate:     0.30,
 		LatencyRate:   0.15,
@@ -173,14 +173,12 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// The whole soak produced zero 5xx: the request counters have no
-	// 5xx buckets for /v1/bill.
-	s.metrics.mu.Lock()
-	for key := range s.metrics.requests {
-		if strings.HasPrefix(key, "/v1/bill|5") {
-			t.Errorf("soak recorded a 5xx bucket: %s", key)
+	// 5xx series for /v1/bill.
+	for _, line := range strings.Split(scrapeMetrics(t, ts), "\n") {
+		if strings.HasPrefix(line, `scserved_requests_total{path="/v1/bill",code="5`) {
+			t.Errorf("soak recorded a 5xx series: %s", line)
 		}
 	}
-	s.metrics.mu.Unlock()
 }
 
 // TestChaosSoakTotalOutage: with a 100% error rate the feed never

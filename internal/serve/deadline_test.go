@@ -63,7 +63,7 @@ func TestSpentDeadlineRefusedBeforeEvaluation(t *testing.T) {
 	if evaluated.Load() {
 		t.Error("spent deadline must not start evaluation")
 	}
-	if got := s.metrics.deadlineExpired.Load(); got != 2 {
+	if got := s.metrics.deadlineExpired.Value(); got != 2 {
 		t.Errorf("deadlineExpired = %d, want 2", got)
 	}
 }
@@ -85,7 +85,7 @@ func TestPropagatedDeadlineTightensTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("504 took %s; the 60 ms propagated budget did not tighten the deadline", elapsed)
 	}
-	if got := s.metrics.deadlinePropagated.Load(); got != 1 {
+	if got := s.metrics.deadlinePropagated.Value(); got != 1 {
 		t.Errorf("deadlinePropagated = %d, want 1", got)
 	}
 }
@@ -103,7 +103,7 @@ func TestGenerousAndMalformedDeadlines(t *testing.T) {
 			t.Fatalf("deadline %q = %d %s, want 200", ms, resp.StatusCode, body)
 		}
 	}
-	if got := s.metrics.deadlinePropagated.Load(); got != 1 {
+	if got := s.metrics.deadlinePropagated.Value(); got != 1 {
 		t.Errorf("deadlinePropagated = %d, want 1 (only the parseable budget counts)", got)
 	}
 }

@@ -127,7 +127,7 @@ func TestBillServedStaleDuringOutage(t *testing.T) {
 	if strings.Contains(string(body), `"degraded"`) {
 		t.Errorf("stale-within-budget must not be marked degraded: %s", body)
 	}
-	if got := s.metrics.feedStale.Load(); got != 1 {
+	if got := s.metrics.feedStale.Value(); got != 1 {
 		t.Errorf("feedStale counter = %d, want 1", got)
 	}
 }
@@ -178,7 +178,7 @@ func TestBillDegradesToFallback(t *testing.T) {
 		t.Errorf("degraded total %g != fallback-tariff total %g", out.Total, want.Total.Float())
 	}
 
-	if got := s.metrics.degraded.Load(); got != 1 {
+	if got := s.metrics.degraded.Value(); got != 1 {
 		t.Errorf("degraded counter = %d, want 1", got)
 	}
 	if !strings.Contains(scrapeMetrics(t, ts), "scserved_degraded_total 1") {
@@ -289,7 +289,7 @@ func TestPanicRecovery(t *testing.T) {
 	if !strings.Contains(string(body), "internal server error") {
 		t.Errorf("panic body: %s", body)
 	}
-	if got := s.metrics.panics.Load(); got != 1 {
+	if got := s.metrics.panics.Value(); got != 1 {
 		t.Errorf("panics counter = %d, want 1", got)
 	}
 	if !strings.Contains(scrapeMetrics(t, ts), "scserved_panics_total 1") {

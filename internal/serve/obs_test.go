@@ -51,19 +51,18 @@ func TestImplicitStatusRecorded(t *testing.T) {
 	}))
 	explicit.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/explicit", nil))
 
-	s.metrics.mu.Lock()
-	defer s.metrics.mu.Unlock()
-	for key, want := range map[string]uint64{
-		"/implicit|200": 1,
-		"/late|200":     1,
-		"/explicit|418": 1,
+	for _, c := range []struct {
+		path, code string
+		want       uint64
+	}{
+		{"/implicit", "200", 1},
+		{"/late", "200", 1},
+		{"/explicit", "418", 1},
+		{"/late", "500", 0}, // a late WriteHeader after Write is not a 500
 	} {
-		if got := s.metrics.requests[key]; got != want {
-			t.Errorf("requests[%q] = %d, want %d (have %v)", key, got, want, s.metrics.requests)
+		if got := s.metrics.requests.With(c.path, c.code).Value(); got != c.want {
+			t.Errorf("requests{path=%q,code=%q} = %d, want %d", c.path, c.code, got, c.want)
 		}
-	}
-	if got := s.metrics.requests["/late|500"]; got != 0 {
-		t.Errorf("late WriteHeader after Write miscounted as 500 (%d times)", got)
 	}
 }
 

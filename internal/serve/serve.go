@@ -159,11 +159,11 @@ func NewServer(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newEngineCache(cfg.EngineCacheSize),
 		limiter: newLimiter(cfg.MaxConcurrent, cfg.QueueDepth),
-		metrics: newMetrics(),
 		stages:  obs.NewRegistry(),
 		started: time.Now(),
 		drained: make(chan struct{}),
 	}
+	s.metrics = newMetrics(s)
 	s.mux = http.NewServeMux()
 	s.mux.Handle("POST /v1/bill", s.instrument("/v1/bill", s.gated("/v1/bill", s.handleBill)))
 	s.mux.Handle("POST /v1/bill/batch", s.instrument("/v1/bill/batch", s.gated("/v1/bill/batch", s.handleBillBatch)))
@@ -174,7 +174,7 @@ func NewServer(cfg Config) *Server {
 	s.mux.Handle("GET /v1/survey/typology", s.instrument("/v1/survey/typology", http.HandlerFunc(s.handleSurveyTypology)))
 	s.mux.Handle("GET /healthz", s.instrument("/healthz", http.HandlerFunc(s.handleHealthz)))
 	s.mux.Handle("GET /readyz", s.instrument("/readyz", http.HandlerFunc(s.handleReadyz)))
-	s.mux.Handle("GET /metrics", s.instrument("/metrics", http.HandlerFunc(s.handleMetrics)))
+	s.mux.Handle("GET /metrics", s.instrument("/metrics", s.metrics))
 	return s
 }
 

@@ -369,8 +369,8 @@ func TestBackpressureSheds429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 must carry Retry-After")
 	}
-	if s.metrics.shed.Load() != 1 {
-		t.Errorf("shed counter = %d, want 1", s.metrics.shed.Load())
+	if s.metrics.shed.Value() != 1 {
+		t.Errorf("shed counter = %d, want 1", s.metrics.shed.Value())
 	}
 
 	close(release)
@@ -452,13 +452,10 @@ func TestQueuedClientCancelIsNotA504(t *testing.T) {
 		t.Fatal("canceled request must fail client-side")
 	}
 	waitUntil(t, "the cancel to be counted", func() bool {
-		return s.metrics.clientCancels.Load() == 1
+		return s.metrics.clientCancels.Value() == 1
 	})
 
-	s.metrics.mu.Lock()
-	got504 := s.metrics.requests["/v1/bill|504"]
-	s.metrics.mu.Unlock()
-	if got504 != 0 {
+	if got504 := s.metrics.requests.With("/v1/bill", "504").Value(); got504 != 0 {
 		t.Errorf("client cancel miscounted as %d 504(s)", got504)
 	}
 }
