@@ -174,9 +174,11 @@ chaos:
 		> chaos-soak.log 2>&1; status=$$?; cat chaos-soak.log; exit $$status
 
 # Short fuzz pass over the timeseries parsers and transforms, the
-# batch-billing endpoint, and the request-body scanners: the JSON
-# grammar against json.Valid, the one-pass request decoder against
-# json.Decoder, and the router's key against the spec the backend bills.
+# batch-billing endpoint, the request-body scanners (the JSON grammar
+# against json.Valid, the one-pass request decoder against json.Decoder,
+# the router's key against the spec the backend bills), the columnar
+# kernels against the legacy oracle, the optimizer's safety envelope, and
+# its level solves against the 52-step bisections.
 fuzz:
 	$(GO) test ./internal/timeseries/ -fuzz FuzzReadPowerCSV -fuzztime 20s
 	$(GO) test ./internal/timeseries/ -fuzz FuzzResampleWindow -fuzztime 20s
@@ -184,6 +186,9 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzSkip -fuzztime 20s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
 	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzRoutingKey -fuzztime 20s
+	$(GO) test ./internal/contract/ -run '^$$' -fuzz FuzzColumnarEquivalence -fuzztime 20s
+	$(GO) test ./internal/optimize/ -run '^$$' -fuzz FuzzOptimizeFeasible -fuzztime 20s
+	$(GO) test ./internal/optimize/ -run '^$$' -fuzz FuzzLevelSolve -fuzztime 20s
 
 clean:
 	$(GO) clean ./...

@@ -217,23 +217,35 @@ func TestColumnarFallsBackOnCPP(t *testing.T) {
 // FuzzColumnarEquivalence cross-checks the three paths over random
 // series geometries — arbitrary start instant, interval and length, so
 // month blocks of every shape (empty-adjacent, single-sample, chunk
-// -straddling) flow through the kernels.
+// -straddling) flow through the kernels. Starts in a +05:30 fixed zone
+// and in Europe/Zurich (when its tzdata is present; both DST
+// transitions) hold the TOU kernel's wall-clock hours to the oracle
+// away from UTC.
 func FuzzColumnarEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(900), uint16(3000), uint8(0))
 	f.Add(int64(2016), uint16(420), uint16(9000), uint8(1))
 	f.Add(int64(-7), uint16(60), uint16(2100), uint8(2))
 	f.Add(int64(99), uint16(10800), uint16(800), uint8(3))
+	f.Add(int64(5), uint16(900), uint16(4000), uint8(4))
+	f.Add(int64(3), uint16(420), uint16(9000), uint8(5))
+	f.Add(int64(11), uint16(900), uint16(3000), uint8(6))
+	starts := []time.Time{
+		time.Date(2016, time.January, 31, 23, 59, 0, 0, time.UTC),
+		time.Date(2016, time.February, 28, 11, 13, 7, 0, time.UTC),
+		time.Date(2015, time.December, 15, 6, 30, 0, 0, time.UTC),
+		time.Date(2016, time.June, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2016, time.March, 30, 22, 0, 0, 0, time.FixedZone("+05:30", 5*3600+1800)),
+	}
+	if zurich, err := time.LoadLocation("Europe/Zurich"); err == nil {
+		starts = append(starts,
+			time.Date(2016, time.March, 20, 0, 0, 0, 0, zurich),
+			time.Date(2016, time.October, 24, 0, 0, 0, 0, zurich))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, intervalSec uint16, n uint16, startSel uint8) {
 		if intervalSec == 0 || n == 0 {
 			t.Skip()
 		}
 		interval := time.Duration(intervalSec) * time.Second
-		starts := []time.Time{
-			time.Date(2016, time.January, 31, 23, 59, 0, 0, time.UTC),
-			time.Date(2016, time.February, 28, 11, 13, 7, 0, time.UTC),
-			time.Date(2015, time.December, 15, 6, 30, 0, 0, time.UTC),
-			time.Date(2016, time.June, 1, 0, 0, 0, 0, time.UTC),
-		}
 		start := starts[int(startSel)%len(starts)].Add(time.Duration(seed%3600) * time.Second)
 
 		samples := make([]units.Power, int(n))

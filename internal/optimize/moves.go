@@ -42,15 +42,19 @@ type undoEdit struct {
 type searchState struct {
 	rng *rand.Rand
 
-	base  []units.Power // baseline samples (never mutated)
 	buf   []units.Power // candidate samples (mutated in place)
-	lower []units.Power // per-sample floor: min(base, FloorKW)
+	lower []units.Power // per-sample floor: min(baseline, FloorKW)
 	h     float64       // interval length in hours
 
 	blocks []timeseries.MonthBlock // month views over buf
+	lv     levelSolver             // the moves' level bisections
 
-	// baseRamp[j] is |base[j+1]-base[j]|; the envelope allows each step
-	// the larger of this and MaxRampKW.
+	// floors[m] is the highest per-sample floor in month m: the lowest
+	// level the whole month may be clamped to.
+	floors []float64
+
+	// baseRamp[j] is the baseline's |x[j+1]-x[j]|; the envelope allows
+	// each step the larger of this and MaxRampKW.
 	baseRamp []float64
 	maxRamp  float64 // +Inf when unconstrained
 
@@ -67,18 +71,17 @@ type searchState struct {
 }
 
 func newSearchState(baseline *timeseries.PowerSeries, flex Flexibility, seed int64) *searchState {
-	base := baseline.AppendSamples(nil)
+	n := baseline.Len()
 	s := &searchState{
 		rng:   rand.New(rand.NewSource(seed)),
-		base:  base,
 		buf:   baseline.AppendSamples(nil),
-		lower: make([]units.Power, len(base)),
+		lower: make([]units.Power, n),
 		h:     baseline.Interval().Hours(),
 	}
 	floor := units.Power(flex.FloorKW)
-	for i, p := range base {
+	for i := range s.lower {
 		lo := floor
-		if p < lo {
+		if p := baseline.At(i); p < lo {
 			lo = p
 		}
 		if lo < 0 {
@@ -86,10 +89,10 @@ func newSearchState(baseline *timeseries.PowerSeries, flex Flexibility, seed int
 		}
 		s.lower[i] = lo
 	}
-	if len(base) > 1 {
-		s.baseRamp = make([]float64, len(base)-1)
+	if n > 1 {
+		s.baseRamp = make([]float64, n-1)
 		for j := range s.baseRamp {
-			s.baseRamp[j] = math.Abs(float64(base[j+1] - base[j]))
+			s.baseRamp[j] = math.Abs(float64(baseline.At(j+1) - baseline.At(j)))
 		}
 	}
 	s.maxRamp = flex.MaxRampKW
@@ -100,6 +103,24 @@ func newSearchState(baseline *timeseries.PowerSeries, flex Flexibility, seed int
 	s.deferBudget = flex.DeferrableFraction * e
 	s.partialBudget = flex.PartialFraction * e
 	return s
+}
+
+// setBlocks installs the month views over buf, records each month's
+// floor (lower never changes during a search), and sizes the level
+// solver's scratch to the longest month.
+func (s *searchState) setBlocks(blocks []timeseries.MonthBlock) {
+	s.blocks = blocks
+	s.floors = make([]float64, len(blocks))
+	monthLen := 0
+	for m, b := range blocks {
+		for _, f := range s.lower[b.Offset : b.Offset+len(b.Samples)] {
+			if v := float64(f); v > s.floors[m] {
+				s.floors[m] = v
+			}
+		}
+		monthLen = max(monthLen, len(b.Samples))
+	}
+	s.lv = newLevelSolver(s.h, monthLen)
 }
 
 // set writes one sample, recording the undo entry.
@@ -209,34 +230,15 @@ func (s *searchState) excessAbove(samples []units.Power, L float64) float64 {
 	return kw * s.h
 }
 
-// deficitBelow returns the energy (kWh) needed to fill the month up to
-// level th.
-func (s *searchState) deficitBelow(samples []units.Power, th float64) float64 {
-	var kw float64
-	for _, p := range samples {
-		if v := float64(p); v < th {
-			kw += th - v
-		}
-	}
-	return kw * s.h
-}
-
 // capLevelToBudget raises the shave level L within [L, peak] until the
-// energy above it fits the budget.
-func (s *searchState) capLevelToBudget(samples []units.Power, L, peak, budget float64) float64 {
-	if s.excessAbove(samples, L) <= budget {
-		return L
+// energy above it fits the budget, and returns the level with that
+// energy.
+func (s *searchState) capLevelToBudget(samples []units.Power, L, peak, budget float64) (level, excess float64) {
+	if e := s.excessAbove(samples, L); e <= budget {
+		return L, e
 	}
-	lo, hi := L, peak
-	for k := 0; k < levelBisectIters; k++ {
-		mid := (lo + hi) / 2
-		if s.excessAbove(samples, mid) > budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
+	L = s.lv.shaveLevel(samples, L, peak, budget)
+	return L, s.excessAbove(samples, L)
 }
 
 // clipShift shaves one month's peaks down to a level and water-fills
@@ -251,7 +253,7 @@ func (s *searchState) clipShift() (movedDelta, droppedDelta float64, ok bool) {
 	blk := s.blocks[m]
 	mean, minv, peak := monthStats(blk.Samples)
 	low, floorBound := mean, false
-	if f := s.floorOf(blk); f > low {
+	if f := s.floors[m]; f > low {
 		low, floorBound = f, true
 	}
 	if peak <= low {
@@ -263,8 +265,7 @@ func (s *searchState) clipShift() (movedDelta, droppedDelta float64, ok bool) {
 	budget := s.deferBudget - s.moved
 	u := 0.05 + 0.95*s.rng.Float64()
 	L := peak - u*(peak-low)
-	L = s.capLevelToBudget(blk.Samples, L, peak, budget)
-	removed := s.excessAbove(blk.Samples, L)
+	L, removed := s.capLevelToBudget(blk.Samples, L, peak, budget)
 	if removed <= 1e-9 {
 		return 0, 0, false
 	}
@@ -273,19 +274,14 @@ func (s *searchState) clipShift() (movedDelta, droppedDelta float64, ok bool) {
 			s.set(blk.Offset+i, units.Power(L))
 		}
 	}
-	// Water-fill level θ absorbing exactly the removed energy. The fill
-	// capacity up to L is removed + n·(L − mean) ≥ removed because
-	// L ≥ mean, so the bracket [minv, L] always contains θ.
-	lo, hi := minv, L
-	for k := 0; k < levelBisectIters; k++ {
-		mid := (lo + hi) / 2
-		if s.deficitBelow(blk.Samples, mid) < removed {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	th := hi
+	// Water-fill level θ absorbing the removed energy. In exact
+	// arithmetic the fill capacity up to L is removed + n·(L − mean) ≥
+	// removed because L ≥ mean, so [minv, L] contains θ. In floating
+	// point it need not: on a month the search has already flattened,
+	// mean and L can round a few ulps below minv, and the bracket is
+	// inverted. The bisection then returns a level within it and the
+	// move shifts a few ulps per sample; such moves are kept, as before.
+	th := s.lv.fillLevel(blk.Samples, minv, L, removed)
 	for i, p := range blk.Samples {
 		if float64(p) < th {
 			s.set(blk.Offset+i, units.Power(th))
@@ -311,7 +307,7 @@ func (s *searchState) shaveDrop() (movedDelta, droppedDelta float64, ok bool) {
 	blk := s.blocks[m]
 	mean, _, peak := monthStats(blk.Samples)
 	low, floorBound := mean*0.5, false
-	if f := s.floorOf(blk); f > low {
+	if f := s.floors[m]; f > low {
 		low, floorBound = f, true
 	}
 	if peak <= low {
@@ -323,8 +319,7 @@ func (s *searchState) shaveDrop() (movedDelta, droppedDelta float64, ok bool) {
 	budget := s.partialBudget - s.dropped
 	u := 0.05 + 0.6*s.rng.Float64()
 	L := peak - u*(peak-low)
-	L = s.capLevelToBudget(blk.Samples, L, peak, budget)
-	removed := s.excessAbove(blk.Samples, L)
+	L, removed := s.capLevelToBudget(blk.Samples, L, peak, budget)
 	if removed <= 1e-9 {
 		return 0, 0, false
 	}
@@ -340,18 +335,6 @@ func (s *searchState) shaveDrop() (movedDelta, droppedDelta float64, ok bool) {
 	}
 	s.touched = append(s.touched, m)
 	return 0, removed, true
-}
-
-// floorOf returns the highest per-sample floor inside the block — the
-// lowest level the whole block may be clamped to.
-func (s *searchState) floorOf(blk timeseries.MonthBlock) float64 {
-	var hi float64
-	for i := range blk.Samples {
-		if v := float64(s.lower[blk.Offset+i]); v > hi {
-			hi = v
-		}
-	}
-	return hi
 }
 
 // deferBlock moves a rectangle of power from one window to another

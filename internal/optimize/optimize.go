@@ -248,7 +248,7 @@ func Optimize(ctx context.Context, eng *contract.Engine, baseline *timeseries.Po
 
 	s := newSearchState(baseline, flex, opts.Seed)
 	cand := baseline.WithSamples(s.buf)
-	s.blocks = cand.Blocks()
+	s.setBlocks(cand.Blocks())
 
 	im, err := eng.Incremental(ctx, cand, in)
 	if err != nil {

@@ -10,7 +10,8 @@ package tariff
 //     cube at compile time (calendar.LabelForSlot guarantees the label
 //     is a pure function of that triple), and the scanner advances the
 //     effective price once per wall-clock hour segment instead of per
-//     sample.
+//     sample, finding each segment by integer arithmetic wherever the
+//     zone's offset is constant (advanceFast).
 //   - Dynamic: the feed's slot grid is walked segment-wise with the
 //     same clamping PriceSeries.PriceAt applies at the edges.
 //
@@ -19,6 +20,7 @@ package tariff
 // sample-walk path for the whole contract.
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/billing"
@@ -211,6 +213,16 @@ type touCostScanner struct {
 	curM       time.Month
 	kind       calendar.DayKind
 	haveDay    bool
+
+	// Arithmetic hour segments (advanceFast): start and interval in
+	// nanoseconds, the zone offset in effect over the Unix-nanosecond
+	// span [spanLo, spanHi) (already shrunk by its margin), and the
+	// local day number curY/curM/curD were last derived for.
+	startNs, ivNs  int64
+	nsOK           bool
+	off            int64
+	spanLo, spanHi int64
+	day            int64
 }
 
 func (s *touCostScanner) begin(start time.Time, interval time.Duration, _ int) {
@@ -220,6 +232,13 @@ func (s *touCostScanner) begin(start time.Time, interval time.Duration, _ int) {
 	s.total = 0
 	s.segEnd = 0
 	s.haveDay = false
+	sec := start.Unix()
+	s.nsOK = interval > 0 && sec > -fastSecLimit && sec < fastSecLimit
+	if s.nsOK {
+		s.startNs, s.ivNs = start.UnixNano(), int64(interval)
+	}
+	s.spanLo, s.spanHi = 1, 0 // empty: the first fast advance looks the zone up
+	s.day = noDay
 }
 
 func (s *touCostScanner) scan(samples []units.Power, base int) {
@@ -242,9 +261,99 @@ func (s *touCostScanner) scan(samples []units.Power, base int) {
 	s.total = total
 }
 
+// Bounds of the arithmetic path. Start instants and offsets from them
+// stay below 2⁶² and 2⁶¹ ns (about 146 and 73 years), so every sum in
+// advanceFast fits an int64. Zone bounds within ±9·10⁹ s of the epoch
+// convert to Unix nanoseconds exactly; farther ones lie beyond every
+// instant advanceFast computes and leave their side of the span open.
+const (
+	fastSecLimit = (1 << 62) / int64(time.Second)
+	fastRelLimit = 1 << 61
+	zoneSecLimit = 9_000_000_000
+	nsPerHour    = int64(time.Hour)
+	nsPerDay     = 24 * nsPerHour
+	noDay        = math.MinInt64
+)
+
+// advanceFast is advance by integer arithmetic on Unix nanoseconds. It
+// applies only where the zone's offset is constant over the sample's
+// hour with a day (plus the offset) of margin on each side: there the
+// wall clock is the instant plus the offset, and the time.Date call in
+// advance, which resolves a wall time by probing the zone at most one
+// offset away, lands inside the same span. It re-derives (year, month,
+// day, day-kind) only when the local day changes, from the same
+// instant and with the same cache check as advance. Everywhere else it
+// returns false before touching the price or the day cache:
+// DST-adjacent hours and instants outside the int64-nanosecond range
+// take advance's path.
+func (s *touCostScanner) advanceFast(i int) bool {
+	if !s.nsOK || int64(i) > fastRelLimit/s.ivNs {
+		return false
+	}
+	tNs := s.startNs + int64(i)*s.ivNs
+	if tNs < s.spanLo || tNs >= s.spanHi {
+		s.zoneAt(s.start.Add(time.Duration(i) * s.interval))
+		if tNs < s.spanLo || tNs >= s.spanHi {
+			return false
+		}
+	}
+	local := tNs + s.off
+	day, inDay := floorDivMod(local, nsPerDay)
+	if day != s.day {
+		t := s.start.Add(time.Duration(i) * s.interval)
+		y, mo, d := t.Date()
+		if !s.haveDay || y != s.curY || mo != s.curM || d != s.curD {
+			s.curY, s.curM, s.curD = y, mo, d
+			s.kind = s.sched.DayKindAt(t)
+			s.haveDay = true
+		}
+		s.day = day
+	}
+	s.price = s.cube[s.curM-1][s.kind][inDay/nsPerHour]
+	boundary := tNs - inDay%nsPerHour + nsPerHour
+	s.segEnd = billing.CeilIndex(time.Duration(boundary-s.startNs), s.interval)
+	return true
+}
+
+// zoneAt records the offset in effect at t and the Unix-nanosecond span
+// over which advanceFast may use it: the zone's bounds, each pulled in
+// by a day plus the offset. An unbounded side, or one beyond the
+// nanoseconds advanceFast computes, is left open.
+func (s *touCostScanner) zoneAt(t time.Time) {
+	_, off := t.Zone()
+	s.off = int64(off) * int64(time.Second)
+	s.spanLo, s.spanHi = 1, 0
+	if s.off <= -nsPerDay || s.off >= nsPerDay {
+		return // no real zone is a day off UTC; leave it to advance
+	}
+	margin := nsPerDay + max(s.off, -s.off)
+	zs, ze := t.ZoneBounds()
+	s.spanLo, s.spanHi = math.MinInt64, math.MaxInt64
+	if !zs.IsZero() && zs.Unix() > -zoneSecLimit {
+		s.spanLo = zs.UnixNano() + margin
+	}
+	if !ze.IsZero() && ze.Unix() < zoneSecLimit {
+		s.spanHi = ze.UnixNano() - margin
+	}
+}
+
+// floorDivMod is integer division rounding toward −∞, with the
+// matching non-negative remainder.
+func floorDivMod(a, b int64) (q, r int64) {
+	q, r = a/b, a%b
+	if r < 0 {
+		q, r = q-1, r+b
+	}
+	return q, r
+}
+
 // advance recomputes the effective price at sample index i and the
 // first index past the current wall-clock hour.
 func (s *touCostScanner) advance(i int) {
+	if s.advanceFast(i) {
+		return
+	}
+	s.day = noDay // the day cache below moves on without advanceFast
 	t := s.start.Add(time.Duration(i) * s.interval)
 	y, mo, d := t.Date()
 	if !s.haveDay || y != s.curY || mo != s.curM || d != s.curD {
