@@ -6,7 +6,7 @@
 GO ?= go
 SCVET := bin/scvet
 
-.PHONY: all build vet scvet-build scvet scvet-report test race check fmt-check lint serve bench bench-billing bench-artifact bench-json bench-check optimize-accept loadtest loadtest-smoke fleetchaos fleetchaos-smoke fuzz bench-fleet-test chaos clean
+.PHONY: all build vet scvet-build scvet scvet-report test race check fmt-check lint serve bench bench-billing bench-artifact bench-json bench-check bench-pair optimize-accept loadtest loadtest-smoke fleetchaos fleetchaos-smoke fuzz bench-fleet-test chaos clean
 
 all: check
 
@@ -103,13 +103,24 @@ bench-json:
 # fail on a >15% ns/op or >10% allocs/op regression of the gated
 # benchmarks (the engine year-bill and the optimizer search riding on
 # it) vs the committed BENCH_billing.json baseline.
+BENCH_SET := BenchmarkBillYear|BenchmarkBillingYear|BenchmarkOptimizeYear
+BENCH_GATE := BillYearEngine|OptimizeYear
+BENCH_THRESHOLD := 0.15
+BENCH_ALLOC_THRESHOLD := 0.10
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkBillYear|BenchmarkBillingYear|BenchmarkOptimizeYear' -benchmem -count 1 . \
+	$(GO) test -run '^$$' -bench '$(BENCH_SET)' -benchmem -count 1 . \
 		| $(GO) run ./cmd/scbench \
 			-commit $$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
 			-out BENCH_current.json \
-			-compare BENCH_billing.json -gate 'BillYearEngine|OptimizeYear' \
-			-threshold 0.15 -alloc-threshold 0.10
+			-compare BENCH_billing.json -gate '$(BENCH_GATE)' \
+			-threshold $(BENCH_THRESHOLD) -alloc-threshold $(BENCH_ALLOC_THRESHOLD)
+
+# Paired perf gate: the bench-check set and gate, but against BASE (any
+# git revision) measured on this host, 5 alternating rounds per side,
+# medians compared. CI runs it on pull requests against the base commit.
+bench-pair:
+	@if [ -z "$(BASE)" ]; then echo "usage: make bench-pair BASE=<rev>" >&2; exit 2; fi
+	GO=$(GO) scripts/bench-pair.sh '$(BASE)' '$(BENCH_SET)' '$(BENCH_GATE)' $(BENCH_THRESHOLD) $(BENCH_ALLOC_THRESHOLD)
 
 # The fleet benchmark's own tests (its own module, so `go test ./...`
 # at the root skips it): unit tests plus a 1 s smoke run per workload
@@ -175,7 +186,8 @@ chaos:
 
 # Short fuzz pass over the timeseries parsers and transforms, the
 # batch-billing endpoint, the request-body scanners (the JSON grammar
-# against json.Valid, the one-pass request decoder against json.Decoder,
+# against json.Valid, the one-pass number parser against Number and
+# strconv.ParseFloat, the one-pass request decoder against json.Decoder,
 # the router's key against the spec the backend bills), the columnar
 # kernels against the legacy oracle, the optimizer's safety envelope, and
 # its level solves against the 52-step bisections.
@@ -184,6 +196,7 @@ fuzz:
 	$(GO) test ./internal/timeseries/ -fuzz FuzzResampleWindow -fuzztime 20s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzBatchRequest -fuzztime 20s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzSkip -fuzztime 20s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseNumber -fuzztime 20s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
 	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzRoutingKey -fuzztime 20s
 	$(GO) test ./internal/contract/ -run '^$$' -fuzz FuzzColumnarEquivalence -fuzztime 20s

@@ -10,8 +10,10 @@
 // The first form parses the benchmark lines on stdin ("BenchmarkX-8  N
 // ns/op  B/op  allocs/op", the -N GOMAXPROCS suffix stripped) and
 // writes a JSON document with the commit, Go version, and one record
-// per benchmark. The second form additionally loads a baseline JSON
-// file and exits nonzero when any benchmark matching -gate regressed
+// per benchmark; a benchmark listed several times (-count N, or runs
+// of one binary concatenated) is reduced to the median of its lines,
+// each unit on its own. The second form additionally loads a baseline
+// JSON file and exits nonzero when any benchmark matching -gate regressed
 // its ns/op by more than -threshold (fractional: 0.15 = 15%) or its
 // allocs/op by more than -alloc-threshold — the CI performance gate
 // over the billing hot path. Gating allocations alongside wall time
@@ -33,6 +35,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -110,9 +113,10 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
 // parseBench extracts benchmark records from go test output, dropping
 // the -N GOMAXPROCS suffix from names so records are comparable across
-// machines with different core counts.
+// machines with different core counts, and reduces repeated lines for
+// one benchmark to their median, in order of first appearance.
 func parseBench(r io.Reader) ([]Benchmark, error) {
-	var out []Benchmark
+	var runs []Benchmark
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
@@ -137,10 +141,48 @@ func parseBench(r io.Reader) ([]Benchmark, error) {
 			}
 		}
 		if ok {
-			out = append(out, b)
+			runs = append(runs, b)
 		}
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return medians(runs), nil
+}
+
+// medians reduces each benchmark's runs to one record holding the
+// median of every unit, in order of first appearance.
+func medians(runs []Benchmark) []Benchmark {
+	byName := map[string][]Benchmark{}
+	var out []Benchmark
+	for _, b := range runs {
+		if _, seen := byName[b.Name]; !seen {
+			out = append(out, Benchmark{Name: b.Name})
+		}
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	for i := range out {
+		rs := byName[out[i].Name]
+		out[i].NsPerOp = median(rs, func(b Benchmark) float64 { return b.NsPerOp })
+		out[i].BytesPerOp = median(rs, func(b Benchmark) float64 { return b.BytesPerOp })
+		out[i].AllocsPerOp = median(rs, func(b Benchmark) float64 { return b.AllocsPerOp })
+	}
+	return out
+}
+
+// median is the middle value of field over runs, or the mean of the
+// two middle values when there are an even number.
+func median(runs []Benchmark, field func(Benchmark) float64) float64 {
+	v := make([]float64, len(runs))
+	for i, b := range runs {
+		v[i] = field(b)
+	}
+	slices.Sort(v)
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
+	}
+	return (v[n/2-1] + v[n/2]) / 2
 }
 
 // stripProcSuffix removes the trailing -N parallelism marker go test

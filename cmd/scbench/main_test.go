@@ -36,6 +36,33 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// TestParseBenchMedian checks that repeated lines for one benchmark,
+// as -count or concatenated runs print them, reduce to their median.
+func TestParseBenchMedian(t *testing.T) {
+	const repeated = `BenchmarkBillYearEngine-8	1650	 731867 ns/op	 13921 B/op	 91 allocs/op
+BenchmarkOptimizeYear-8	9	 126000000 ns/op
+BenchmarkBillYearEngine-8	1650	 900000 ns/op	 13900 B/op	 95 allocs/op
+BenchmarkBillYearEngine-8	1650	 700000 ns/op	 14000 B/op	 90 allocs/op
+BenchmarkOptimizeYear-8	9	 130000000 ns/op
+`
+	benches, err := parseBench(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{
+		{Name: "BenchmarkBillYearEngine", NsPerOp: 731867, BytesPerOp: 13921, AllocsPerOp: 91},
+		{Name: "BenchmarkOptimizeYear", NsPerOp: 128000000},
+	}
+	if len(benches) != len(want) {
+		t.Fatalf("parsed %+v, want %+v", benches, want)
+	}
+	for i := range want {
+		if benches[i] != want[i] {
+			t.Errorf("record %d: %+v, want %+v", i, benches[i], want[i])
+		}
+	}
+}
+
 func TestStripProcSuffix(t *testing.T) {
 	cases := map[string]string{
 		"BenchmarkBillYearEngine-8":          "BenchmarkBillYearEngine",

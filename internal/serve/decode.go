@@ -3,9 +3,10 @@ package serve
 // Request-body decoding in one pass. decodeRequest walks the body's
 // top-level object once with the wire scanner. The load spine — load
 // or loads, then series, then kw — is decoded by hand, and every kw
-// sample is validated against the JSON number grammar and parsed with
-// strconv.ParseFloat in the same pass, so samples are bit-identical to
-// encoding/json's and their bytes never reach it. An inline csv string
+// sample is validated against the JSON number grammar and parsed to
+// its correctly rounded value in one pass over its bytes
+// (wire.ParseNumber), so samples are bit-identical to encoding/json's
+// and their bytes never reach it. An inline csv string
 // is unquoted by the scanner too, by encoding/json's rules. Every other
 // member (contract, input, feed, profile, synthetic, start, search,
 // ...) is handed to encoding/json as its own small slice and decoded
@@ -26,6 +27,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/wire"
 )
@@ -33,14 +35,42 @@ import (
 // memberFunc consumes one object member (see wire.Object).
 type memberFunc = func(key []byte, k, v int) (int, error)
 
-// bodyDecoder decodes one request body.
-type bodyDecoder struct{ data []byte }
+// bodyDecoder decodes one request body. kw and loads are the scratch
+// buffers decodeSlice collects array elements in, so that each slice
+// is allocated once, at its final length.
+type bodyDecoder struct {
+	data  []byte
+	kw    []float64
+	loads []LoadSpec
+}
+
+// decoders recycles bodyDecoders, so their scratch buffers grow once
+// per process rather than once per request: a month of 15-minute kw
+// samples is 23 KB, and growing a fresh buffer to that in every
+// request would cost more than the samples themselves.
+var decoders = sync.Pool{New: func() any { return new(bodyDecoder) }}
+
+// maxPooled caps the scratch buffers a pooled decoder keeps (a month
+// of one-minute samples fits), so one huge request does not pin them.
+const maxPooled = 1 << 16
+
+// release drops what d references of its request, the body and the
+// decoded loads' pointers, and returns d to the pool.
+func (d *bodyDecoder) release() {
+	clear(d.loads[:cap(d.loads)])
+	d.data = nil
+	if cap(d.kw) <= maxPooled && cap(d.loads) <= maxPooled {
+		decoders.Put(d)
+	}
+}
 
 // decodeRequest decodes a request body into req, accepting and
 // rejecting exactly the bodies json.NewDecoder(bytes.NewReader(body))
 // .Decode(req) does and producing the same value.
 func decodeRequest[T BillRequest | AdviseRequest | BatchRequest | OptimizeRequest](body []byte, req *T) error {
-	d := &bodyDecoder{data: body}
+	d := decoders.Get().(*bodyDecoder)
+	defer d.release()
+	d.data = body
 	var member memberFunc
 	switch r := any(req).(type) {
 	case *BillRequest:
@@ -55,7 +85,7 @@ func decodeRequest[T BillRequest | AdviseRequest | BatchRequest | OptimizeReques
 			case wire.Key(key, "load"):
 				return decodePointer(d, v, 1, &r.Load, d.loadMembers)
 			case wire.Key(key, "loads"):
-				return decodeSlice(d, v, 1, &r.Loads, func(e int, ls *LoadSpec) (int, error) {
+				return decodeSlice(d, v, 1, &r.Loads, &d.loads, func(e int, ls *LoadSpec) (int, error) {
 					return d.object(e, 2, d.loadMembers(ls, 3))
 				})
 			}
@@ -111,7 +141,7 @@ func (d *bodyDecoder) loadMembers(ls *LoadSpec, depth int) memberFunc {
 func (d *bodyDecoder) seriesMembers(ss *SeriesSpec, depth int) memberFunc {
 	return func(key []byte, k, v int) (int, error) {
 		if wire.Key(key, "kw") {
-			return decodeSlice(d, v, depth, &ss.KW, d.sample)
+			return decodeSlice(d, v, depth, &ss.KW, &d.kw, d.sample)
 		}
 		return d.field(k, v, depth, ss)
 	}
@@ -123,13 +153,12 @@ func (d *bodyDecoder) sample(e int, x *float64) (int, error) {
 	if d.data[e] == 'n' {
 		return wire.Null(d.data, e)
 	}
-	end, err := wire.Number(d.data, e)
-	if err != nil {
-		return end, fmt.Errorf("load.series.kw: %w", err)
-	}
-	f, err := strconv.ParseFloat(string(d.data[e:end]), 64)
-	if err != nil {
+	f, end, err := wire.ParseNumber(d.data, e)
+	switch {
+	case errors.Is(err, strconv.ErrRange):
 		return e, fmt.Errorf("load.series.kw: number %s out of range", d.data[e:end])
+	case err != nil:
+		return end, fmt.Errorf("load.series.kw: %w", err)
 	}
 	*x = f
 	return end, nil
@@ -188,9 +217,12 @@ func decodePointer[T any](d *bodyDecoder, v, depth int, p **T, members func(*T, 
 
 // decodeSlice decodes the array or null at data[v] into *dst: null
 // sets nil; elements decode in place over the existing backing array
-// (elem sees what is there), the slice is cut to the array's length,
-// and an empty array gives an empty non-nil slice.
-func decodeSlice[E any](d *bodyDecoder, v, depth int, dst *[]E, elem func(e int, x *E) (int, error)) (int, error) {
+// up to its capacity (elem sees what is there), the slice is cut to
+// the array's length, and an empty array gives an empty non-nil slice.
+// Elements past the old capacity start zero and decode into the
+// scratch buffer *buf, and a slice that outgrows its backing array is
+// allocated once, at its final length. elem must not decode into *buf.
+func decodeSlice[E any](d *bodyDecoder, v, depth int, dst *[]E, buf *[]E, elem func(e int, x *E) (int, error)) (int, error) {
 	switch d.data[v] {
 	case 'n':
 		end, err := wire.Null(d.data, v)
@@ -202,23 +234,27 @@ func decodeSlice[E any](d *bodyDecoder, v, depth int, dst *[]E, elem func(e int,
 	default:
 		return v, d.typeError(v, "array")
 	}
-	s, n := *dst, 0
+	old, tail, n := (*dst)[:cap(*dst)], (*buf)[:0], 0
+	var zero E
 	end, err := wire.Array(d.data, v, depth, func(e int) (int, error) {
-		if n == len(s) {
-			if n == cap(s) {
-				s = slices.Grow(s, max(n, 8)) // double: kw arrays run to thousands
-			}
-			s = s[:n+1]
-		}
 		n++
-		return elem(e, &s[n-1])
+		if n <= len(old) {
+			return elem(e, &old[n-1])
+		}
+		tail = append(tail, zero)
+		return elem(e, &tail[len(tail)-1])
 	})
+	*buf = tail
 	if err != nil {
 		return end, err
 	}
-	if n == 0 {
-		s = []E{}
+	switch {
+	case n == 0:
+		*dst = []E{}
+	case n <= len(old):
+		*dst = old[:n]
+	default:
+		*dst = slices.Concat(old, tail)
 	}
-	*dst = s[:n]
 	return end, nil
 }

@@ -260,6 +260,26 @@ func BenchmarkDecodeBillInlineCSV(b *testing.B) {
 	}
 }
 
+// TestReleaseDropsRequestReferences checks that a decoder going back
+// to the pool keeps nothing of its request alive: not the body, and
+// not the loads its scratch buffer held, even past its length.
+func TestReleaseDropsRequestReferences(t *testing.T) {
+	d := &bodyDecoder{data: []byte(`{}`), loads: make([]LoadSpec, 4)}
+	for i := range d.loads {
+		d.loads[i] = LoadSpec{Series: &SeriesSpec{KW: []float64{1}}, Profile: "p"}
+	}
+	d.loads = d.loads[:1]
+	d.release()
+	if d.data != nil {
+		t.Error("released decoder still holds the body")
+	}
+	for i, ls := range d.loads[:cap(d.loads)] {
+		if ls != (LoadSpec{}) {
+			t.Errorf("released decoder's loads scratch %d still holds %+v", i, ls)
+		}
+	}
+}
+
 // TestBodyBound pins the 16 MiB body bound on every gated endpoint's
 // read: a body of exactly wire.MaxBodyBytes is read and billed, one
 // byte more is a 400, with a Content-Length and chunked alike.

@@ -10,6 +10,8 @@
 //     without decoding it, so a caller can find one member of a large
 //     body, or hand-decode the parts it cares about, in a single pass;
 //     String also unquotes, by encoding/json's rules;
+//   - ParseNumber validates a number as Number does and converts it in
+//     the same pass, bit for bit as strconv.ParseFloat would;
 //   - Key matches an object member's key against a field name by
 //     encoding/json's rule, so a scan picks the member encoding/json
 //     would have decoded.
@@ -185,9 +187,10 @@ func digits(data []byte, i int) int {
 
 // Number validates the number at data[i:] against the JSON grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its end.
-// What follows the number is the caller's to check. Only text this
-// accepts may reach strconv.ParseFloat, which on its own would also
-// take NaN, Inf, hex floats, underscores and a leading +.
+// What follows the number is the caller's to check. A caller that
+// wants the value calls ParseNumber instead, which checks the same
+// grammar; strconv.ParseFloat on its own would also take NaN, Inf, hex
+// floats, underscores and a leading +.
 func Number(data []byte, i int) (int, error) {
 	if i < len(data) && data[i] == '-' {
 		i++
