@@ -188,9 +188,10 @@ chaos:
 # batch-billing endpoint, the request-body scanners (the JSON grammar
 # against json.Valid, the one-pass number parser against Number and
 # strconv.ParseFloat, the one-pass request decoder against json.Decoder,
-# the router's key against the spec the backend bills), the columnar
-# kernels against the legacy oracle, the optimizer's safety envelope, and
-# its level solves against the 52-step bisections.
+# the router's key against the spec the backend bills), the router's
+# forward plan against its invariants, the columnar kernels against the
+# legacy oracle, the optimizer's safety envelope, and its level solves
+# against the 52-step bisections.
 fuzz:
 	$(GO) test ./internal/timeseries/ -fuzz FuzzReadPowerCSV -fuzztime 20s
 	$(GO) test ./internal/timeseries/ -fuzz FuzzResampleWindow -fuzztime 20s
@@ -199,6 +200,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseNumber -fuzztime 20s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
 	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzRoutingKey -fuzztime 20s
+	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzPlan -fuzztime 20s
 	$(GO) test ./internal/contract/ -run '^$$' -fuzz FuzzColumnarEquivalence -fuzztime 20s
 	$(GO) test ./internal/optimize/ -run '^$$' -fuzz FuzzOptimizeFeasible -fuzztime 20s
 	$(GO) test ./internal/optimize/ -run '^$$' -fuzz FuzzLevelSolve -fuzztime 20s

@@ -50,7 +50,11 @@ func (e *Evaluator) newScanSet() *scanSet {
 
 // evaluateColumnar is the columnar counterpart of the sample walk in
 // evaluatePeriodInto. load is non-empty and ctx not yet cancelled
-// (checked by the caller).
+// (checked by the caller). Untraced, it scans cancelCheckStride-sample
+// chunks and reads no clock. When ctx carries an obs.Registry it uses
+// the traced sample walk's chunking (traceBlock) and times each
+// component family's scanners per chunk, so observation cost
+// attributes to "billing.<family>" spans exactly as on that path.
 func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.PowerSeries, pctx PeriodContext, res *Result) error {
 	ss := e.pool.Get().(*scanSet)
 	defer e.pool.Put(ss)
@@ -64,10 +68,15 @@ func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.Power
 	}
 	ss.blocks = load.AppendBlocks(ss.blocks)
 
-	if reg := obs.SpansFrom(ctx); reg != nil {
-		return e.columnarTraced(ctx, reg, load, ss, res)
+	reg := obs.SpansFrom(ctx)
+	endPeriod := func() {}
+	stride := cancelCheckStride
+	var nanos []time.Duration
+	if reg != nil {
+		endPeriod = obs.Span(ctx, SpanPeriod)
+		stride = traceBlock
+		nanos = make([]time.Duration, len(ss.groups))
 	}
-
 	done := ctx.Done()
 	h := interval.Hours()
 	var kwh float64
@@ -75,7 +84,7 @@ func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.Power
 	peakIdx := 0
 	for _, blk := range ss.blocks {
 		samples := blk.Samples
-		for off := 0; off < len(samples); off += cancelCheckStride {
+		for off := 0; off < len(samples); off += stride {
 			if done != nil {
 				select {
 				case <-done:
@@ -83,55 +92,7 @@ func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.Power
 				default:
 				}
 			}
-			end := off + cancelCheckStride
-			if end > len(samples) {
-				end = len(samples)
-			}
-			chunk := samples[off:end]
-			base := blk.Offset + off
-			for j, p := range chunk {
-				en := float64(p) * h
-				kwh += en
-				if p > peak {
-					peak, peakIdx = p, base+j
-				}
-			}
-			for _, sc := range ss.scanners {
-				sc.Scan(chunk, base)
-			}
-		}
-	}
-	e.finishColumnar(ss, load, res, kwh, peak, peakIdx)
-	return nil
-}
-
-// columnarTraced is the span-recording twin of the columnar loop: same
-// chunking as the traced sample walk (traceBlock), with each component
-// family's scanners timed per chunk so observation cost attributes to
-// "billing.<family>" spans exactly as on the legacy path.
-func (e *Evaluator) columnarTraced(ctx context.Context, reg *obs.Registry, load *timeseries.PowerSeries, ss *scanSet, res *Result) error {
-	endPeriod := obs.Span(ctx, SpanPeriod)
-	done := ctx.Done()
-	h := load.Interval().Hours()
-	var kwh float64
-	peak := load.At(0)
-	peakIdx := 0
-	nanos := make([]time.Duration, len(ss.groups))
-	for _, blk := range ss.blocks {
-		samples := blk.Samples
-		for off := 0; off < len(samples); off += traceBlock {
-			if done != nil {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			end := off + traceBlock
-			if end > len(samples) {
-				end = len(samples)
-			}
-			chunk := samples[off:end]
+			chunk := samples[off:min(off+stride, len(samples))]
 			base := blk.Offset + off
 			for j, p := range chunk {
 				en := float64(p) * h
@@ -141,16 +102,23 @@ func (e *Evaluator) columnarTraced(ctx context.Context, reg *obs.Registry, load 
 				}
 			}
 			for g, group := range ss.groups {
-				t0 := e.now()
+				var t0 time.Time
+				if reg != nil {
+					t0 = e.now()
+				}
 				for _, sc := range group {
 					sc.Scan(chunk, base)
 				}
-				nanos[g] += e.now().Sub(t0)
+				if reg != nil {
+					nanos[g] += e.now().Sub(t0)
+				}
 			}
 		}
 	}
-	for g, name := range e.famNames {
-		reg.Observe(SpanFamilyPrefix+name, nanos[g].Seconds())
+	if reg != nil {
+		for g, name := range e.famNames {
+			reg.Observe(SpanFamilyPrefix+name, nanos[g].Seconds())
+		}
 	}
 	e.finishColumnar(ss, load, res, kwh, peak, peakIdx)
 	endPeriod()

@@ -16,73 +16,101 @@ import (
 	"repro/internal/obs"
 )
 
-// TestTracedSpanClockInjection pins the traced path's clock discipline
-// with a tick-counting fake clock: 2 reads per family per block, each
-// family span summing to exactly one fake tick per block, and a Result
-// identical to the untraced path.
+// TestTracedSpanClockInjection pins the traced paths' clock discipline
+// with a tick-counting fake clock, on the sample walk and on the
+// columnar path (kernel-compiled producers): 2 reads per family per
+// chunk, each family span summing to exactly one fake tick per chunk,
+// and a Result identical to the untraced path.
 func TestTracedSpanClockInjection(t *testing.T) {
-	n := 2*traceBlock + 9 // three blocks, the last partial
+	n := 2*traceBlock + 9 // March and part of April, hourly
 	load := series(traceLoad(n)...)
-	blocks := (n + traceBlock - 1) / traceBlock
-
-	mk := func() *Evaluator {
-		ev, err := NewEvaluator(
-			&famProbe{family: "tariff"},
-			&famProbe{family: "demand"},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ev
+	// The sample walk chunks the period; the columnar path chunks each
+	// month block.
+	walkChunks := (n + traceBlock - 1) / traceBlock
+	columnarChunks := 0
+	for _, blk := range load.Blocks() {
+		columnarChunks += (len(blk.Samples) + traceBlock - 1) / traceBlock
 	}
 
-	ticks := 0
-	base := time.Date(2016, time.March, 1, 0, 0, 0, 0, time.UTC)
-	ev := mk().WithNow(func() time.Time {
-		ticks++
-		return base.Add(time.Duration(ticks) * time.Second)
-	})
-
-	reg := obs.NewRegistry()
-	ctx := obs.WithSpans(context.Background(), reg)
-	traced, err := ev.EvaluatePeriodCtx(ctx, load, PeriodContext{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		columnar bool
+		chunks   int
+		mk       func() []LineItemProducer
+	}{
+		{"sample walk", false, walkChunks, func() []LineItemProducer {
+			return []LineItemProducer{&famProbe{family: "tariff"}, &famProbe{family: "demand"}}
+		}},
+		{"columnar", true, columnarChunks, func() []LineItemProducer {
+			return []LineItemProducer{&scanProbe{family: "tariff"}, &scanProbe{family: "demand"}}
+		}},
 	}
-
-	const families = 2
-	if want := 2 * families * blocks; ticks != want {
-		t.Errorf("clock reads = %d, want %d (2 per family per block; a read inside the sample loop would explode this)", ticks, want)
-	}
-
-	// Each family's span: one Observe per period, summing one 1 s tick
-	// per block.
-	for _, name := range []string{"billing.tariff", "billing.demand"} {
-		found := false
-		for _, s := range reg.Snapshot() {
-			if s.Name != name {
-				continue
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() *Evaluator {
+				ev, err := NewEvaluator(tc.mk()...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ev.Columnar() != tc.columnar {
+					t.Fatalf("Columnar() = %v, want %v", ev.Columnar(), tc.columnar)
+				}
+				return ev
 			}
-			found = true
-			if s.Count != 1 {
-				t.Errorf("%s: observations = %d, want 1", name, s.Count)
-			}
-			if s.Sum != float64(blocks) {
-				t.Errorf("%s: span sum = %v s, want %v (one tick per block)", name, s.Sum, blocks)
-			}
-		}
-		if !found {
-			t.Errorf("missing span %q", name)
-		}
-	}
 
-	// The injected clock is instrumentation only: the bill must be
-	// bit-identical to the untraced path.
-	plain, err := mk().EvaluatePeriod(load, PeriodContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, traced) {
-		t.Errorf("fake-clock traced result differs from untraced:\n%+v\nvs\n%+v", traced, plain)
+			ticks := 0
+			base := time.Date(2016, time.March, 1, 0, 0, 0, 0, time.UTC)
+			ev := mk().WithNow(func() time.Time {
+				ticks++
+				return base.Add(time.Duration(ticks) * time.Second)
+			})
+
+			reg := obs.NewRegistry()
+			ctx := obs.WithSpans(context.Background(), reg)
+			traced, err := ev.EvaluatePeriodCtx(ctx, load, PeriodContext{})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			const families = 2
+			if want := 2 * families * tc.chunks; ticks != want {
+				t.Errorf("clock reads = %d, want %d (2 per family per chunk; a read inside the sample loop would explode this)", ticks, want)
+			}
+
+			// Each family's span: one Observe per period, summing one 1 s
+			// tick per chunk.
+			for _, name := range []string{"billing.tariff", "billing.demand"} {
+				found := false
+				for _, s := range reg.Snapshot() {
+					if s.Name != name {
+						continue
+					}
+					found = true
+					if s.Count != 1 {
+						t.Errorf("%s: observations = %d, want 1", name, s.Count)
+					}
+					if s.Sum != float64(tc.chunks) {
+						t.Errorf("%s: span sum = %v s, want %v (one tick per chunk)", name, s.Sum, tc.chunks)
+					}
+				}
+				if !found {
+					t.Errorf("missing span %q", name)
+				}
+			}
+
+			// The injected clock is instrumentation only: the bill must
+			// be bit-identical to the untraced path, which reads no clock.
+			ticks = 0
+			plain, err := mk().WithNow(ev.now).EvaluatePeriod(load, PeriodContext{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ticks != 0 {
+				t.Errorf("untraced evaluation read the clock %d times", ticks)
+			}
+			if !reflect.DeepEqual(plain, traced) {
+				t.Errorf("fake-clock traced result differs from untraced:\n%+v\nvs\n%+v", traced, plain)
+			}
+		})
 	}
 }

@@ -40,15 +40,14 @@ func (d *digest) Observe(seconds float64) {
 // samples in seconds, or 0 with no samples yet — callers floor the
 // result with their own minimum hedge delay.
 func (d *digest) Quantile(q float64) float64 {
+	var buf [digestSize]float64 // on the stack: sorting it does not escape
 	d.mu.Lock()
-	n := d.filled
-	buf := make([]float64, n)
-	copy(buf, d.samples[:n])
+	n := copy(buf[:], d.samples[:d.filled])
 	d.mu.Unlock()
 	if n == 0 {
 		return 0
 	}
-	sort.Float64s(buf)
+	sort.Float64s(buf[:n])
 	idx := int(q*float64(n)) - 1
 	if idx < 0 {
 		idx = 0

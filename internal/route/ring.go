@@ -61,17 +61,3 @@ func Rank(backends []string, key string) []string {
 	}
 	return out
 }
-
-// Owner returns the top-ranked backend for key, "" when the backend
-// set is empty.
-func Owner(backends []string, key string) string {
-	var best string
-	var bestScore uint64
-	for _, b := range backends {
-		s := score(b, key)
-		if best == "" || s > bestScore || (s == bestScore && b < best) {
-			best, bestScore = b, s
-		}
-	}
-	return best
-}

@@ -46,9 +46,6 @@ func TestRankIsDeterministicPermutation(t *testing.T) {
 		if len(seen) != len(backends) {
 			t.Fatalf("Rank for %q is not a permutation: %v", key, a)
 		}
-		if Owner(backends, key) != a[0] {
-			t.Fatalf("Owner disagrees with Rank[0] for %q", key)
-		}
 	}
 }
 
@@ -57,7 +54,7 @@ func TestRankSpreadsKeys(t *testing.T) {
 	keys := testKeys(2000)
 	counts := make(map[string]int)
 	for _, key := range keys {
-		counts[Owner(backends, key)]++
+		counts[Rank(backends, key)[0]]++
 	}
 	// Perfectly uniform would be 500 each; demand every backend gets a
 	// real share (the bound is loose — this guards against a degenerate
@@ -80,8 +77,8 @@ func TestKeyMovementOnRemoval(t *testing.T) {
 
 	moved := 0
 	for _, key := range keys {
-		before := Owner(backends, key)
-		after := Owner(remaining, key)
+		before := Rank(backends, key)[0]
+		after := Rank(remaining, key)[0]
 		if before != removed && before != after {
 			t.Fatalf("key %q moved from surviving backend %s to %s", key, before, after)
 		}
@@ -107,8 +104,8 @@ func TestKeyMovementOnAddition(t *testing.T) {
 
 	moved := 0
 	for _, key := range keys {
-		before := Owner(backends, key)
-		after := Owner(grown, key)
+		before := Rank(backends, key)[0]
+		after := Rank(grown, key)[0]
 		if before != after {
 			if after != added {
 				t.Fatalf("key %q moved to %s, not the added backend", key, after)
@@ -134,7 +131,7 @@ func TestFailoverOrderStable(t *testing.T) {
 				without = append(without, b)
 			}
 		}
-		if got := Owner(without, key); got != rank[1] {
+		if got := Rank(without, key)[0]; got != rank[1] {
 			t.Fatalf("key %q: owner after losing %s is %s, want second choice %s",
 				key, rank[0], got, rank[1])
 		}

@@ -50,6 +50,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/textproto"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -193,6 +194,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	for _, name := range cfg.Backends {
 		if _, dup := rt.byName[name]; dup {
 			return nil, fmt.Errorf("route: duplicate backend %q", name)
+		}
+		if u, err := url.Parse(name); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("route: backend %q is not an http(s) base URL", name)
 		}
 		b := &backend{name: name}
 		b.ready.Store(true) // optimistic until the first poll says otherwise
@@ -429,27 +433,10 @@ func hedgeable(r *http.Request) bool {
 	return false
 }
 
-// hedgeDelay is how long to wait for a backend before speculating: its
-// observed p95, floored so an empty or very fast digest cannot hedge
-// every request, and capped at the per-try ceiling (past that the try
-// timeout handles it).
-func (rt *Router) hedgeDelay(b *backend) time.Duration {
-	d := time.Duration(b.latency.Quantile(0.95) * float64(time.Second))
-	if d < rt.cfg.HedgeDelayFloor {
-		d = rt.cfg.HedgeDelayFloor
-	}
-	if d > rt.cfg.TryTimeoutCeil {
-		d = rt.cfg.TryTimeoutCeil
-	}
-	return d
-}
-
-// attempt is one in-flight forward and its settled outcome.
+// attempt is one forward in flight and its settled outcome.
 type attempt struct {
-	b        *backend
-	done     func(success bool)
+	try
 	cancel   context.CancelFunc
-	hedge    bool
 	resp     *http.Response
 	err      error
 	elapsed  time.Duration
@@ -465,33 +452,14 @@ func (at *attempt) usable() bool {
 		at.resp.StatusCode != http.StatusServiceUnavailable
 }
 
-// proxyState is the per-request forward engine: the preference order,
-// the set of in-flight attempts, and the best failure seen so far.
-type proxyState struct {
-	rt       *Router
-	r        *http.Request
-	body     []byte
-	ctx      context.Context
-	deadline time.Time
-	order    []string
-	idx      int // next candidate in order
-	active   map[*attempt]struct{}
-	inflight int
-	results  chan *attempt
-
-	lastStatus int
-	lastHeader http.Header
-	lastBody   []byte
-}
-
 // handleProxy forwards one request along its preference order with
-// per-try timeouts, budget-gated failover retries and hedges. A
-// transport error, per-try timeout, or 502/503 counts against the
-// backend's breaker and moves on to the next eligible backend; any
-// other response — 200s, 400s, and crucially 429 shed — relays as-is
-// and counts as backend success. When every backend fails, the last
-// upstream 502/503 relays (it is the truth); with no response at all
-// the router answers 502.
+// per-try timeouts, budget-gated failover retries and hedges, as its
+// plan (plan.go) admits them. A transport error, per-try timeout, or
+// 502/503 counts against the backend's breaker and moves on to the next
+// eligible backend; any other response — 200s, 400s, and crucially 429
+// shed — relays as-is and counts as backend success. When every backend
+// fails, the last upstream 502/503 relays (it is the truth); with no
+// response at all the router answers 502.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	// The body is buffered once, for the routing key and for retries,
 	// under the backends' bound.
@@ -523,36 +491,34 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	deadline, _ := ctx.Deadline()
 
-	rt.budget.OnPrimary()
-	st := &proxyState{
-		rt:       rt,
-		r:        r,
-		body:     body,
-		ctx:      ctx,
-		deadline: deadline,
-		order:    rt.order(body),
-		active:   make(map[*attempt]struct{}),
-		results:  make(chan *attempt, len(rt.names)+2),
+	p := rt.newPlan(rt.order(body), deadline, hedgeable(r))
+	// One send per attempt, and a plan tries each backend at most once.
+	results := make(chan *attempt, len(rt.names))
+	var started []*attempt
+	launch := func(t try, ok bool) {
+		if !ok {
+			return
+		}
+		at := &attempt{try: t}
+		actx, acancel := context.WithCancel(ctx)
+		at.cancel = acancel
+		started = append(started, at)
+		go rt.runAttempt(at, buildForward(actx, r, t.b, body), results)
 	}
-
-	first := st.launch(false)
-	if first != nil {
-		st.inflight = 1
-	}
-
-	// One speculative attempt per request: armed at the first
-	// backend's p95 and consumed (or disarmed by the budget) once.
+	launch(p.start(time.Now()))
 	var hedgeC <-chan time.Time
-	if first != nil && !rt.cfg.DisableHedge && hedgeable(r) {
-		ht := time.NewTimer(rt.hedgeDelay(first.b))
+	if p.hedgeIn > 0 {
+		ht := time.NewTimer(p.hedgeIn)
 		defer ht.Stop()
 		hedgeC = ht.C
 	}
 
-	for st.inflight > 0 {
+	var last *attempt // the most recent upstream 502/503
+	var lastBody []byte
+	for p.inflight > 0 {
 		select {
 		case <-ctx.Done():
-			st.cancelAndDrain()
+			rt.cancelAndDrain(started, nil, p.inflight, results)
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 				rt.metrics.observeRequest(r.URL.Path, http.StatusGatewayTimeout)
 				writeRouterError(w, http.StatusGatewayTimeout,
@@ -562,50 +528,36 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 				rt.metrics.observeRequest(r.URL.Path, 499)
 			}
 			return
-		case <-hedgeC:
+		case now := <-hedgeC:
 			hedgeC = nil
-			if !rt.budget.TryAcquire() {
-				rt.metrics.budgetExhausted.Add(1)
-				continue
-			}
-			if at := st.launch(true); at != nil {
-				st.inflight++
-				rt.metrics.hedges.Add(1)
-			}
-		case at := <-st.results:
-			st.inflight--
-			delete(st.active, at)
+			launch(p.hedge(now))
+		case at := <-results:
 			if at.usable() {
-				st.win(w, at)
+				p.won()
+				rt.cancelAndDrain(started, at, p.inflight, results)
+				rt.win(w, r, at)
 				return
 			}
-			st.fail(at)
-			if st.inflight > 0 || st.idx >= len(st.order) {
-				continue
+			code := 0
+			if at.resp != nil {
+				code = at.resp.StatusCode
+				last = at
+				lastBody, _ = io.ReadAll(io.LimitReader(at.resp.Body, wire.MaxBodyBytes))
+			} else if at.timedOut {
+				rt.metrics.tryTimeouts.Add(1)
 			}
-			// Failover retry down the ranking, budget permitting: under
-			// a fleet-wide brownout the budget drains and requests
-			// degrade to single-attempt behavior instead of storming.
-			if !rt.budget.TryAcquire() {
-				rt.metrics.budgetExhausted.Add(1)
-				break
-			}
-			if at := st.launch(false); at != nil {
-				st.inflight++
-				rt.metrics.retries.Add(1)
-			}
-		}
-		if st.inflight == 0 {
-			break
+			rt.metrics.observeBackend(at.b.name, code)
+			settle(at)
+			launch(p.failed(time.Now()))
 		}
 	}
 
-	if st.lastStatus != 0 {
-		copyHeader(w.Header(), st.lastHeader)
+	if last != nil {
+		copyHeader(w.Header(), last.resp.Header)
 		w.Header().Set(OriginHeader, OriginUpstream)
-		w.WriteHeader(st.lastStatus)
-		_, _ = w.Write(st.lastBody)
-		rt.metrics.observeRequest(r.URL.Path, st.lastStatus)
+		w.WriteHeader(last.resp.StatusCode)
+		_, _ = w.Write(lastBody)
+		rt.metrics.observeRequest(r.URL.Path, last.resp.StatusCode)
 		return
 	}
 	rt.metrics.noBackend.Add(1)
@@ -613,66 +565,14 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	writeRouterError(w, http.StatusBadGateway, "no healthy backend")
 }
 
-// launch starts one forward to the next eligible backend in the
-// preference order, returning nil when none is left. The per-try
-// timeout is the remaining deadline split across the candidates left
-// (this one included), clamped to [TryTimeoutFloor, TryTimeoutCeil].
-func (st *proxyState) launch(hedge bool) *attempt {
-	rt := st.rt
-	for st.idx < len(st.order) {
-		left := len(st.order) - st.idx
-		name := st.order[st.idx]
-		st.idx++
-		b := rt.byName[name]
-		if !b.eligible() {
-			continue
-		}
-		actx, acancel := context.WithCancel(st.ctx)
-		req, err := rt.buildForward(actx, st.r, name, st.body)
-		if err != nil {
-			// Local construction error: the breaker was never consulted,
-			// so the backend is not penalized for our bad request.
-			acancel()
-			continue
-		}
-		done, berr := b.breaker.Allow()
-		if berr != nil {
-			acancel()
-			continue // lost the race to an ejection or probe slot
-		}
-		at := &attempt{b: b, done: done, cancel: acancel, hedge: hedge}
-		st.active[at] = struct{}{}
-		go rt.runAttempt(at, req, st.tryTimeout(left), st.results)
-		return at
-	}
-	return nil
-}
-
-// tryTimeout splits the remaining deadline across the candidates left,
-// clamped to the configured floor and ceiling.
-func (st *proxyState) tryTimeout(candidatesLeft int) time.Duration {
-	if candidatesLeft < 1 {
-		candidatesLeft = 1
-	}
-	per := time.Until(st.deadline) / time.Duration(candidatesLeft)
-	if per < st.rt.cfg.TryTimeoutFloor {
-		per = st.rt.cfg.TryTimeoutFloor
-	}
-	if per > st.rt.cfg.TryTimeoutCeil {
-		per = st.rt.cfg.TryTimeoutCeil
-	}
-	return per
-}
-
 // runAttempt issues one forward. The per-try timer guards the time to
 // response headers: a hung or browned-out backend trips it, the
 // attempt's context is canceled, and the outcome reports timedOut so
-// the caller counts it as a breaker failure. Once headers are in, the
-// winner's body relay runs under the request deadline, not the per-try
-// clock.
-func (rt *Router) runAttempt(at *attempt, req *http.Request, tryTimeout time.Duration, out chan<- *attempt) {
+// it counts as a breaker failure. Once headers are in, the winner's
+// body relay runs under the request deadline, not the per-try clock.
+func (rt *Router) runAttempt(at *attempt, req *http.Request, out chan<- *attempt) {
 	var fired atomic.Bool
-	timer := time.AfterFunc(tryTimeout, func() {
+	timer := time.AfterFunc(at.timeout, func() {
 		fired.Store(true)
 		at.cancel()
 	})
@@ -690,104 +590,75 @@ func (rt *Router) runAttempt(at *attempt, req *http.Request, tryTimeout time.Dur
 			resp = nil
 		}
 		if err == nil {
-			err = fmt.Errorf("route: per-try timeout after %s", tryTimeout)
+			err = fmt.Errorf("route: per-try timeout after %s", at.timeout)
 		} else {
-			err = fmt.Errorf("route: per-try timeout after %s: %w", tryTimeout, err)
+			err = fmt.Errorf("route: per-try timeout after %s: %w", at.timeout, err)
 		}
 	}
 	at.resp, at.err = resp, err
 	out <- at
 }
 
-// win relays the first usable response: cancel the losers, feed the
-// latency digest, and stream the body to the client.
-func (st *proxyState) win(w http.ResponseWriter, at *attempt) {
-	rt := st.rt
-	st.cancelAndDrain()
+// win relays the first usable response: feed the latency digest and
+// stream the body to the client.
+func (rt *Router) win(w http.ResponseWriter, r *http.Request, at *attempt) {
 	rt.metrics.observeBackend(at.b.name, at.resp.StatusCode)
 	rt.metrics.upstream.Observe(at.elapsed.Seconds())
 	at.b.latency.Observe(at.elapsed.Seconds())
 	if at.hedge {
 		rt.metrics.hedgeWins.Add(1)
 	}
-	code, relayErr := rt.relay(w, at.resp)
+	copyHeader(w.Header(), at.resp.Header)
+	w.WriteHeader(at.resp.StatusCode)
+	_, relayErr := io.Copy(w, at.resp.Body)
 	// The backend served us fine either way: a relay error means the
 	// CLIENT hung up mid-copy, which must not eject the backend.
-	at.done(true)
-	at.cancel()
+	settle(at)
 	if relayErr != nil && rt.cfg.Logger != nil {
-		rt.cfg.Logger.Info("client hangup mid-relay", "backend", at.b.name, "path", st.r.URL.Path)
+		rt.cfg.Logger.Info("client hangup mid-relay", "backend", at.b.name, "path", r.URL.Path)
 	}
-	rt.metrics.observeRequest(st.r.URL.Path, code)
+	rt.metrics.observeRequest(r.URL.Path, at.resp.StatusCode)
 }
 
-// fail settles one failed attempt: breaker failure, metrics, and —
-// for upstream 502/503 — capture of the most recent relayable truth.
-func (st *proxyState) fail(at *attempt) {
-	rt := st.rt
-	if at.resp != nil {
-		rt.metrics.observeBackend(at.b.name, at.resp.StatusCode)
-		st.lastStatus = at.resp.StatusCode
-		st.lastHeader = at.resp.Header
-		st.lastBody, _ = io.ReadAll(io.LimitReader(at.resp.Body, wire.MaxBodyBytes))
-		at.resp.Body.Close()
-	} else {
-		rt.metrics.observeBackend(at.b.name, 0)
-		if at.timedOut {
-			rt.metrics.tryTimeouts.Add(1)
+// cancelAndDrain cancels every started attempt but the winner and
+// settles the pending outcomes still to arrive on a background
+// goroutine, so a hedge loser's context is released promptly without
+// blocking the client's response. The goroutine is registered on the
+// router's settle WaitGroup: every attempt sends exactly one result
+// (runAttempt's send is unconditional and the channel is buffered for
+// the attempt count), so the loop terminates once the losers finish —
+// and Wait() holds shutdown open until each loser's breaker outcome and
+// body close have landed.
+func (rt *Router) cancelAndDrain(started []*attempt, winner *attempt, pending int, results <-chan *attempt) {
+	for _, at := range started {
+		if at != winner {
+			at.cancel()
 		}
 	}
-	at.done(false)
-	at.cancel()
-}
-
-// cancelAndDrain cancels every still-active attempt and settles their
-// outcomes on a background goroutine, so a hedge loser's context is
-// released promptly without blocking the client's response.
-func (st *proxyState) cancelAndDrain() {
-	n := 0
-	for at := range st.active {
-		at.cancel()
-		n++
-	}
-	if n == 0 {
+	if pending == 0 {
 		return
 	}
-	st.active = make(map[*attempt]struct{})
-	results := st.results
-	// Registered on the router's settle WaitGroup: every canceled
-	// attempt sends exactly one result (runAttempt's send is
-	// unconditional and the channel is buffered for the attempt
-	// count), so the loop terminates once the losers finish — and
-	// Wait() holds shutdown open until each loser's breaker outcome
-	// and body close have landed.
-	st.rt.settleWG.Add(1)
+	rt.settleWG.Add(1)
 	go func() {
-		defer st.rt.settleWG.Done()
-		for i := 0; i < n; i++ {
-			settleLoser(<-results)
+		defer rt.settleWG.Done()
+		for i := 0; i < pending; i++ {
+			settle(<-results)
 		}
 	}()
 }
 
-// settleLoser closes out an attempt that lost the race. A response —
-// even a late one — counts as backend success; a cancellation we
-// caused must not be held against the backend; only a genuine failure
-// or per-try timeout counts against the breaker.
-func settleLoser(at *attempt) {
-	switch {
-	case at.resp != nil:
+// settle scores a finished attempt on its backend's breaker and
+// releases it, the same way whether it won, failed or lost a hedge
+// race. A usable response counts as success, even a late one; a
+// 502/503, a transport error or a per-try timeout counts as failure; a
+// cancellation the router caused (a hedge loser, or a client that hung
+// up) is not held against the backend.
+func settle(at *attempt) {
+	ok := at.usable() || (at.resp == nil && !at.timedOut && errors.Is(at.err, context.Canceled))
+	if at.resp != nil {
 		at.resp.Body.Close()
-		at.done(!at.timedOut &&
-			at.resp.StatusCode != http.StatusBadGateway &&
-			at.resp.StatusCode != http.StatusServiceUnavailable)
-	case at.timedOut:
-		at.done(false)
-	case errors.Is(at.err, context.Canceled):
-		at.done(true)
-	default:
-		at.done(false)
 	}
+	at.done(ok)
 	at.cancel()
 }
 
@@ -804,18 +675,20 @@ func incomingDeadline(h http.Header) (ms int64, ok bool) {
 	return ms, true
 }
 
-// buildForward constructs the request to one backend, stamping the
-// remaining deadline budget so the backend stops evaluating bills the
-// caller has already abandoned.
-func (rt *Router) buildForward(ctx context.Context, r *http.Request, name string, body []byte) (*http.Request, error) {
-	url := name + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, url, bytes.NewReader(body))
+// buildForward constructs the request to one backend: the client's
+// path, still escaped as the client sent it, and raw query on the
+// backend's base URL, stamped with the remaining deadline budget so the
+// backend stops evaluating bills the caller has already abandoned.
+func buildForward(ctx context.Context, r *http.Request, b *backend, body []byte) *http.Request {
+	req, err := http.NewRequestWithContext(ctx, r.Method, b.name, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		// NewRouter parsed b.name, and net/http hands handlers only
+		// valid methods.
+		panic(fmt.Sprintf("route: forward to %s: %v", b.name, err))
 	}
+	req.URL.RawPath = req.URL.EscapedPath() + r.URL.EscapedPath()
+	req.URL.Path += r.URL.Path
+	req.URL.RawQuery = r.URL.RawQuery
 	copyHeader(req.Header, r.Header)
 	if dl, ok := ctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
@@ -824,17 +697,7 @@ func (rt *Router) buildForward(ctx context.Context, r *http.Request, name string
 		}
 		req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
 	}
-	return req, nil
-}
-
-// relay copies one upstream response to the client, returning the
-// status code written.
-func (rt *Router) relay(w http.ResponseWriter, resp *http.Response) (int, error) {
-	defer resp.Body.Close()
-	copyHeader(w.Header(), resp.Header)
-	w.WriteHeader(resp.StatusCode)
-	_, err := io.Copy(w, resp.Body)
-	return resp.StatusCode, err
+	return req
 }
 
 // hopByHopHeaders are the RFC 9110 §7.6.1 connection-level fields a

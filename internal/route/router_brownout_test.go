@@ -5,7 +5,6 @@ package route
 // the hop-by-hop header hygiene a buffering proxy owes RFC 9110.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,7 +43,7 @@ func TestFailoverReplaysExactBody(t *testing.T) {
 	if !ok {
 		t.Fatal("spec body must produce a routing key")
 	}
-	owner := Owner(rt.names, key)
+	owner := Rank(rt.names, key)[0]
 	for _, sb := range stubs {
 		if sb.ts.URL == owner {
 			sb.setHandler(fail)
@@ -95,7 +94,7 @@ func TestHedgeLoserCanceledPromptly(t *testing.T) {
 	}, stubs...)
 
 	key, _ := routingKey(body)
-	owner := Owner(rt.names, key)
+	owner := Rank(rt.names, key)[0]
 	for _, sb := range stubs {
 		if sb.ts.URL == owner {
 			sb.setHandler(hang)
@@ -216,7 +215,7 @@ func TestPerTryTimeoutEjectsHungBackend(t *testing.T) {
 	}, stubs...)
 
 	key, _ := routingKey(body)
-	owner := Owner(rt.names, key)
+	owner := Rank(rt.names, key)[0]
 	for _, sb := range stubs {
 		if sb.ts.URL == owner {
 			sb.setHandler(hang)
@@ -417,29 +416,6 @@ func TestPollJitterSpread(t *testing.T) {
 	}
 }
 
-// TestPollLocalErrorDoesNotPenalize: a backend URL that cannot form a
-// request (bad scheme) must not trip the breaker — a local
-// construction error says nothing about backend health.
-func TestPollLocalErrorDoesNotPenalize(t *testing.T) {
-	rt, err := NewRouter(Config{
-		Backends:         []string{"http://bad host"}, // space: NewRequest fails locally
-		FailureThreshold: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := rt.byName["http://bad host"]
-	for i := 0; i < 5; i++ {
-		rt.pollOnce(context.Background(), b)
-	}
-	if st := b.breaker.State(); st.String() != "closed" {
-		t.Fatalf("local construction error tripped the breaker (state %s)", st)
-	}
-	if st := b.breaker.Stats(); st.Failures != 0 {
-		t.Fatalf("local construction error recorded %d breaker failures, want 0", st.Failures)
-	}
-}
-
 // TestWaitDrainsLoserSettlement pins the goroleak fix in
 // cancelAndDrain: the loser-settlement goroutine is registered on the
 // router's WaitGroup, so Wait() holds shutdown open until every hedge
@@ -465,7 +441,7 @@ func TestWaitDrainsLoserSettlement(t *testing.T) {
 	}, stubs...)
 
 	key, _ := routingKey(body)
-	owner := Owner(rt.names, key)
+	owner := Rank(rt.names, key)[0]
 	for _, sb := range stubs {
 		if sb.ts.URL == owner {
 			sb.setHandler(hang)

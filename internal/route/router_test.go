@@ -191,7 +191,7 @@ func TestFailoverHidesDeadBackend(t *testing.T) {
 	if !ok {
 		t.Fatal("spec body must produce a routing key")
 	}
-	owner := Owner(rt.names, key)
+	owner := Rank(rt.names, key)[0]
 	for _, sb := range stubs {
 		if sb.ts.URL == owner {
 			sb.ts.CloseClientConnections()
@@ -339,5 +339,46 @@ func TestLastUpstream503Relays(t *testing.T) {
 	}
 	if !strings.Contains(out, "draining") {
 		t.Errorf("relayed body lost the upstream error: %s", out)
+	}
+}
+
+// TestForwardKeepsEscapedPath: the forward carries the path exactly as
+// the client escaped it, and the raw query. Re-escaping the decoded path
+// cannot round-trip these: %2F decodes to a separator, and %25zz to a
+// lone % that does not parse.
+func TestForwardKeepsEscapedPath(t *testing.T) {
+	var got atomic.Value
+	sb := newStubBackend(t)
+	sb.setHandler(func(w http.ResponseWriter, r *http.Request) {
+		got.Store(r.RequestURI)
+		w.WriteHeader(http.StatusOK)
+	})
+	_, front := newTestRouter(t, Config{}, sb)
+
+	for _, uri := range []string{"/v1/x%25zz", "/v1/a%2Fb", "/v1/a%2Fb?q=1%2B2&r=%25"} {
+		resp, err := http.Get(front.URL + uri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d (origin %q), want the backend's 200", uri, resp.StatusCode, resp.Header.Get(OriginHeader))
+		}
+		if v, _ := got.Load().(string); v != uri {
+			t.Errorf("GET %s reached the backend as %q", uri, v)
+		}
+	}
+}
+
+// TestNewRouterRejectsBadBackendURL: a backend URL that cannot carry a
+// forward fails at construction, not on every request.
+func TestNewRouterRejectsBadBackendURL(t *testing.T) {
+	for _, name := range []string{"http://bad host", "127.0.0.1:9101", "ftp://10.0.0.1", "http://", "/v1"} {
+		if _, err := NewRouter(Config{Backends: []string{name}}); err == nil {
+			t.Errorf("NewRouter accepted backend %q", name)
+		}
+	}
+	if _, err := NewRouter(Config{Backends: []string{"http://10.0.0.1:9101", "https://b.example"}}); err != nil {
+		t.Errorf("NewRouter rejected good backends: %v", err)
 	}
 }

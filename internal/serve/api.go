@@ -428,46 +428,28 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request, body []byte)
 		hook(r.Context())
 	}
 
-	if r.URL.Query().Get("monthly") == "1" {
-		endEval := obs.Span(r.Context(), stageEvaluate)
-		bills, err := eng.BillMonthsCtx(r.Context(), load, in, s.cfg.MonthWorkers)
-		endEval()
-		if err != nil {
-			writeEvalError(w, err)
-			return
-		}
-		endEncode := obs.Span(r.Context(), stageEncode)
-		defer endEncode()
-		data, err := monthlyBillBody(eng, bills, feedRes)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(data)
-		_, _ = w.Write([]byte("\n"))
-		return
-	}
-
+	// Rendered as one batch item: the same status mapping and bytes as
+	// /v1/bill/batch, plus the trailing newline writeError and the
+	// monthly body end in.
+	monthly := r.URL.Query().Get("monthly") == "1"
+	var out contract.BatchOutcome
 	endEval := obs.Span(r.Context(), stageEvaluate)
-	bill, err := eng.BillCtx(r.Context(), load, in)
+	if monthly {
+		out.Months, out.Err = eng.BillMonthsCtx(r.Context(), load, in, s.cfg.MonthWorkers)
+	} else {
+		out.Bill, out.Err = eng.BillCtx(r.Context(), load, in)
+	}
 	endEval()
-	if err != nil {
-		writeEvalError(w, err)
-		return
+	if out.Err == nil {
+		defer obs.Span(r.Context(), stageEncode)()
 	}
-	endEncode := obs.Span(r.Context(), stageEncode)
-	defer endEncode()
-	data, err := bill.JSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if feedRes.degraded() {
-		data = markDegraded(data, feedRes.reason)
-	}
+	res := s.encodeBatchItem(eng, out, feedRes, monthly)
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
+	w.WriteHeader(res.status)
+	_, _ = w.Write(res.body)
+	if monthly || res.status != http.StatusOK {
+		_, _ = w.Write([]byte("\n"))
+	}
 }
 
 // monthlyBillBody renders the monthly-billing response object — the
@@ -716,15 +698,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}{status, s.Inflight()})
 }
 
-// writeEvalError maps an evaluation error onto a status: deadline and
-// cancellation become 504 (the request ran out of time mid-evaluation),
-// anything else is a client-side contract/load problem.
+// writeEvalError writes the evalError mapping of err.
 func writeEvalError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		writeError(w, http.StatusGatewayTimeout, "evaluation exceeded the request deadline")
-		return
-	}
-	writeError(w, http.StatusBadRequest, err.Error())
+	code, msg := evalError(err)
+	writeError(w, code, msg)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -92,13 +92,14 @@ func batchErrorBody(msg string) []byte {
 	return data
 }
 
-// batchEvalStatus maps a per-item evaluation error onto the status and
-// body a sequential /v1/bill call would have produced (writeEvalError).
-func batchEvalStatus(err error) (int, []byte) {
+// evalError maps an evaluation error onto a status and message:
+// deadline and cancellation become 504 (the request ran out of time
+// mid-evaluation), anything else is a client-side contract/load problem.
+func evalError(err error) (int, string) {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return http.StatusGatewayTimeout, batchErrorBody("evaluation exceeded the request deadline")
+		return http.StatusGatewayTimeout, "evaluation exceeded the request deadline"
 	}
-	return http.StatusBadRequest, batchErrorBody(err.Error())
+	return http.StatusBadRequest, err.Error()
 }
 
 func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request, body []byte) {
@@ -255,8 +256,8 @@ type batchPair struct {
 // encodeBatchItem renders one evaluated item.
 func (s *Server) encodeBatchItem(eng *contract.Engine, out contract.BatchOutcome, fr feedResolution, monthly bool) batchItemResult {
 	if out.Err != nil {
-		status, body := batchEvalStatus(out.Err)
-		return batchItemResult{status: status, body: body}
+		status, msg := evalError(out.Err)
+		return batchItemResult{status: status, body: batchErrorBody(msg)}
 	}
 	if monthly {
 		body, err := monthlyBillBody(eng, out.Months, fr)
