@@ -186,9 +186,10 @@ chaos:
 
 # Short fuzz pass over the timeseries parsers and transforms, the
 # batch-billing endpoint, the request-body scanners (the JSON grammar
-# against json.Valid, the one-pass number parser against Number and
-# strconv.ParseFloat, the one-pass request decoder against json.Decoder,
-# the router's key against the spec the backend bills), the router's
+# against json.Valid, the structural skip against the grammar's ends,
+# the one-pass number parser against Number and strconv.ParseFloat,
+# the one-pass request decoder against json.Decoder, the router's key
+# against the spec the backend bills), the router's
 # forward plan against its invariants, the columnar kernels against the
 # legacy oracle, the optimizer's safety envelope, and its level solves
 # against the 52-step bisections.
@@ -197,6 +198,7 @@ fuzz:
 	$(GO) test ./internal/timeseries/ -fuzz FuzzResampleWindow -fuzztime 20s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzBatchRequest -fuzztime 20s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzSkip -fuzztime 20s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzExtent -fuzztime 20s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseNumber -fuzztime 20s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
 	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzRoutingKey -fuzztime 20s

@@ -40,7 +40,6 @@ package route
 // evaluating bills the caller has already abandoned.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,6 +50,7 @@ import (
 	"net/http"
 	"net/textproto"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -355,8 +355,12 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // top-level object with the backends' member-matching rule (keys
 // case-folded, the last duplicate wins, the first JSON value counts and
 // trailing bytes are ignored, as json.Decoder does), then
-// ParseSpec/HashSpec on the spec's bytes alone. Returns ok=false when
-// the body has no parseable spec.
+// ParseSpec/HashSpec on the spec's bytes alone. Every other member is
+// only stepped over by its structure (wire.Extent), not validated: a
+// body the backend bills is valid JSON, on which Extent ends each value
+// where Skip would, and a body it rejects gets the same 4xx from every
+// backend, whichever the key picks. Returns ok=false when the body has
+// no parseable spec.
 func routingKey(body []byte) (string, bool) {
 	i := wire.Space(body, 0)
 	if i == len(body) || body[i] != '{' {
@@ -382,7 +386,7 @@ func routingKey(body []byte) (string, bool) {
 				return end, err
 			})
 		}
-		return wire.Skip(body, v, 1)
+		return wire.Extent(body, v, 1)
 	})
 	raw := single
 	if raw == nil {
@@ -463,12 +467,15 @@ func (at *attempt) usable() bool {
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	// The body is buffered once, for the routing key and for retries,
 	// under the backends' bound.
-	body, err := wire.ReadBody(w, r)
+	read, err := wire.ReadBody(w, r)
 	if err != nil {
 		rt.metrics.observeRequest(r.URL.Path, http.StatusBadRequest)
 		writeRouterError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
+	body := &forwardBody{Body: read}
+	body.hold()
+	defer body.drop()
 
 	// Request deadline: a propagated X-SCBill-Deadline-Ms tightens the
 	// configured timeout, and a spent one short-circuits to 504 without
@@ -491,7 +498,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	deadline, _ := ctx.Deadline()
 
-	p := rt.newPlan(rt.order(body), deadline, hedgeable(r))
+	p := rt.newPlan(rt.order(body.Bytes), deadline, hedgeable(r))
 	// One send per attempt, and a plan tries each backend at most once.
 	results := make(chan *attempt, len(rt.names))
 	var started []*attempt
@@ -503,7 +510,8 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		actx, acancel := context.WithCancel(ctx)
 		at.cancel = acancel
 		started = append(started, at)
-		go rt.runAttempt(at, buildForward(actx, r, t.b, body), results)
+		body.hold() // runAttempt drops it
+		go rt.runAttempt(at, buildForward(actx, r, t.b, body), body, results)
 	}
 	launch(p.start(time.Now()))
 	var hedgeC <-chan time.Time
@@ -570,7 +578,10 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 // attempt's context is canceled, and the outcome reports timedOut so
 // it counts as a breaker failure. Once headers are in, the winner's
 // body relay runs under the request deadline, not the per-try clock.
-func (rt *Router) runAttempt(at *attempt, req *http.Request, out chan<- *attempt) {
+// The attempt's reference to the request body is dropped when the
+// round trip returns, before the outcome is sent: the transport may
+// call GetBody until then, and no later.
+func (rt *Router) runAttempt(at *attempt, req *http.Request, body *forwardBody, out chan<- *attempt) {
 	var fired atomic.Bool
 	timer := time.AfterFunc(at.timeout, func() {
 		fired.Store(true)
@@ -578,6 +589,7 @@ func (rt *Router) runAttempt(at *attempt, req *http.Request, out chan<- *attempt
 	})
 	start := time.Now()
 	resp, err := rt.client.Do(req)
+	body.drop()
 	timer.Stop()
 	at.elapsed = time.Since(start)
 	if fired.Load() {
@@ -678,13 +690,20 @@ func incomingDeadline(h http.Header) (ms int64, ok bool) {
 // buildForward constructs the request to one backend: the client's
 // path, still escaped as the client sent it, and raw query on the
 // backend's base URL, stamped with the remaining deadline budget so the
-// backend stops evaluating bills the caller has already abandoned.
-func buildForward(ctx context.Context, r *http.Request, b *backend, body []byte) *http.Request {
-	req, err := http.NewRequestWithContext(ctx, r.Method, b.name, bytes.NewReader(body))
+// backend stops evaluating bills the caller has already abandoned. The
+// body goes with its Content-Length, so the backend reads it into one
+// buffer of that size rather than doubling one from 512 bytes.
+func buildForward(ctx context.Context, r *http.Request, b *backend, body *forwardBody) *http.Request {
+	req, err := http.NewRequestWithContext(ctx, r.Method, b.name, nil)
 	if err != nil {
 		// NewRouter parsed b.name, and net/http hands handlers only
 		// valid methods.
 		panic(fmt.Sprintf("route: forward to %s: %v", b.name, err))
+	}
+	if len(body.Bytes) > 0 {
+		req.ContentLength = int64(len(body.Bytes))
+		req.Body = body.reader()
+		req.GetBody = func() (io.ReadCloser, error) { return body.reader(), nil }
 	}
 	req.URL.RawPath = req.URL.EscapedPath() + r.URL.EscapedPath()
 	req.URL.Path += r.URL.Path
@@ -698,6 +717,71 @@ func buildForward(ctx context.Context, r *http.Request, b *backend, body []byte)
 		req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
 	}
 	return req
+}
+
+// forwardBody is the router's one copy of a request body, which every
+// forward of it reads. Its buffer goes back to wire's pool when the
+// last reference drops: handleProxy holds one until it returns, each
+// attempt one until its round trip returns (the transport may call
+// GetBody until then), and each reader handed to the transport, the
+// first and any GetBody copy, one until the transport closes it. That
+// close can come after the round trip has returned: a backend may
+// answer before it has read a body net/http is still writing to it.
+type forwardBody struct {
+	wire.Body
+	refs atomic.Int32
+}
+
+func (fb *forwardBody) hold() { fb.refs.Add(1) }
+
+func (fb *forwardBody) drop() {
+	if fb.refs.Add(-1) == 0 {
+		fb.Release()
+	}
+}
+
+// reader returns a reader over the body that holds a reference until
+// it is closed.
+func (fb *forwardBody) reader() io.ReadCloser {
+	fb.hold()
+	return &bodyReader{body: fb}
+}
+
+var errBodyClosed = errors.New("route: read from a closed forward body")
+
+// bodyReader reads a forwardBody for the transport. Its lock keeps a
+// Read from copying out of a buffer that a concurrent Close has just
+// released.
+type bodyReader struct {
+	mu   sync.Mutex
+	body *forwardBody // nil once closed
+	off  int
+}
+
+func (br *bodyReader) Read(p []byte) (int, error) {
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	switch {
+	case br.body == nil:
+		return 0, errBodyClosed
+	case br.off == len(br.body.Bytes):
+		return 0, io.EOF
+	}
+	n := copy(p, br.body.Bytes[br.off:])
+	br.off += n
+	return n, nil
+}
+
+// Close drops the reader's reference; closing it again does nothing.
+func (br *bodyReader) Close() error {
+	br.mu.Lock()
+	fb := br.body
+	br.body = nil
+	br.mu.Unlock()
+	if fb != nil {
+		fb.drop()
+	}
+	return nil
 }
 
 // hopByHopHeaders are the RFC 9110 §7.6.1 connection-level fields a
@@ -720,21 +804,23 @@ var hopByHopHeaders = []string{
 // hop-by-hop set plus any field nominated by a Connection header (RFC
 // 9110: such fields are hop-by-hop by declaration). Used in both
 // directions — forwarding the client's headers upstream and relaying
-// the backend's headers down.
+// the backend's headers down. It allocates nothing beyond dst's values
+// unless a Connection header names a field outside the set.
 func copyHeader(dst, src http.Header) {
-	drop := make(map[string]bool, len(hopByHopHeaders))
-	for _, h := range hopByHopHeaders {
-		drop[h] = true
-	}
+	var named []string
 	for _, v := range src.Values("Connection") {
-		for _, name := range strings.Split(v, ",") {
-			if name = textproto.CanonicalMIMEHeaderKey(strings.TrimSpace(name)); name != "" {
-				drop[name] = true
+		for v != "" {
+			var name string
+			name, v, _ = strings.Cut(v, ",")
+			name = strings.TrimSpace(name)
+			if name == "" || slices.ContainsFunc(hopByHopHeaders, func(h string) bool { return strings.EqualFold(h, name) }) {
+				continue
 			}
+			named = append(named, textproto.CanonicalMIMEHeaderKey(name))
 		}
 	}
 	for k, vs := range src {
-		if drop[textproto.CanonicalMIMEHeaderKey(k)] {
+		if ck := textproto.CanonicalMIMEHeaderKey(k); slices.Contains(hopByHopHeaders, ck) || slices.Contains(named, ck) {
 			continue
 		}
 		for _, v := range vs {

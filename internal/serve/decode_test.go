@@ -65,8 +65,15 @@ func sameKW(a, b []float64) bool {
 // accept or both reject it, and accepted bodies decode to equal values.
 func checkDecode[T requestType](t *testing.T, body []byte) {
 	t.Helper()
-	var got, want T
-	gotErr := decodeRequest(body, &got)
+	var got T
+	matchDecoder(t, body, got, decodeRequest(body, &got))
+}
+
+// matchDecoder holds what decodeRequest made of body, got and its
+// error gotErr, to what json.Decoder makes of it.
+func matchDecoder[T requestType](t *testing.T, body []byte, got T, gotErr error) {
+	t.Helper()
+	var want T
 	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%T: decodeRequest error %v, json.Decoder error %v\nbody: %q", got, gotErr, wantErr, body)

@@ -308,12 +308,15 @@ func (s *Server) gated(path string, h func(http.ResponseWriter, *http.Request, [
 		// hung-up client would hold its queue token — invisible — until
 		// the deadline. With the body drained, a disconnect cancels the
 		// request context and unparks the waiter immediately. The
-		// handler decodes these bytes; nothing reads r.Body again.
+		// handler decodes these bytes; nothing reads r.Body again. The
+		// buffer goes back to wire's pool once the handler has returned:
+		// nothing a handler decodes or answers aliases it.
 		body, err := wire.ReadBody(w, r)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 			return
 		}
+		defer body.Release()
 
 		cm := s.metrics.class(class)
 		cm.pending.Add(1)
@@ -349,7 +352,7 @@ func (s *Server) gated(path string, h func(http.ResponseWriter, *http.Request, [
 		defer cm.pending.Add(-1)
 		defer s.limiter.release()
 		serviceStart := time.Now()
-		h(w, r, body)
+		h(w, r, body.Bytes)
 		s.metrics.observeGated(class, time.Since(serviceStart))
 	})
 }

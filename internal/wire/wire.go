@@ -4,12 +4,18 @@
 //
 //   - ReadBody reads a body once into one buffer, sized from
 //     Content-Length (at most 1 MiB before the bytes arrive) and
-//     bounded at MaxBodyBytes;
+//     bounded at MaxBodyBytes; buffers up to 1 MiB come from
+//     size-classed pools, and Body.Release hands them back once
+//     nothing reads the body any more;
 //   - Skip, Object, Array, Number, String and Null scan JSON text
 //     with encoding/json's grammar (including its nesting limit)
 //     without decoding it, so a caller can find one member of a large
 //     body, or hand-decode the parts it cares about, in a single pass;
 //     String also unquotes, by encoding/json's rules;
+//   - Extent steps over a value by its structure alone (quotes,
+//     escapes and brackets, with the same nesting limit), for a caller
+//     that leaves validation to whoever decodes the body, as the
+//     router does; on every value Skip accepts it ends where Skip does;
 //   - ParseNumber validates a number as Number does and converts it in
 //     the same pass, bit for bit as strconv.ParseFloat would;
 //   - Key matches an object member's key against a field name by
@@ -24,73 +30,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// MaxBodyBytes bounds request bodies on both daemons (an inline CSV
-// year at one-minute resolution fits comfortably).
-const MaxBodyBytes = 16 << 20
-
 // maxDepth is encoding/json's nesting limit: text nesting containers
 // deeper than this is a syntax error there, so it is one here too.
 const maxDepth = 10000
-
-// maxPresize caps the buffer ReadBody allocates before any of the body
-// has arrived (an inline batch of 16 month loads, about 860 KB, still
-// fits), so a client cannot make a daemon hold MaxBodyBytes by
-// declaring it and then stalling.
-const maxPresize = 1 << 20
-
-// ReadBody reads r's body into a single buffer. A body that declares
-// its Content-Length starts with a buffer of that size (plus the one
-// byte that lets the final read see EOF without growing it), capped at
-// maxPresize; past the cap the buffer doubles as bytes arrive, never
-// beyond the declared size. A chunked body doubles from 512 bytes. A
-// declared length over MaxBodyBytes is refused before anything is read
-// or allocated, and http.MaxBytesReader enforces the bound on chunked
-// bodies; both fail with *http.MaxBytesError.
-func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	if r.Body == nil {
-		return nil, nil
-	}
-	if r.ContentLength > MaxBodyBytes {
-		return nil, &http.MaxBytesError{Limit: MaxBodyBytes}
-	}
-	size, limit := 512, MaxBodyBytes+1
-	if r.ContentLength > 0 {
-		limit = int(r.ContentLength) + 1
-		size = min(limit, maxPresize)
-	}
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	buf := make([]byte, 0, size)
-	for {
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(buf) == cap(buf) {
-			buf = grow(buf, limit)
-		}
-	}
-}
-
-// grow returns a full buffer's bytes in one of twice the capacity, or
-// of limit if that is smaller and still larger than the buffer.
-func grow(buf []byte, limit int) []byte {
-	n := 2 * cap(buf)
-	if cap(buf) < limit {
-		n = min(n, limit)
-	}
-	return append(make([]byte, 0, n), buf...)
-}
 
 var errEOF = errors.New("unexpected end of JSON input")
 

@@ -107,23 +107,34 @@ func TestObjectKeys(t *testing.T) {
 }
 
 // TestReadBodySizing checks that a declared length is read into one
-// buffer of that size, and a chunked body of any size arrives whole.
+// buffer: within maxPresize, the smallest pooled class that holds the
+// body and the byte that sees EOF, and past it, exactly that size after
+// doubling from maxPresize. A chunked body of any size arrives whole.
 func TestReadBodySizing(t *testing.T) {
-	for _, size := range []int{100_000, 3 << 20} {
+	for _, size := range []int{100_000, maxPresize - 1, maxPresize, 3 << 20} {
 		body := bytes.Repeat([]byte("x"), size)
 		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
 		got, err := ReadBody(httptest.NewRecorder(), req)
-		if err != nil || !bytes.Equal(got, body) {
-			t.Fatalf("read %d bytes, %v", len(got), err)
+		if err != nil || !bytes.Equal(got.Bytes, body) {
+			t.Fatalf("read %d bytes, %v", len(got.Bytes), err)
 		}
-		if cap(got) != len(body)+1 {
-			t.Fatalf("buffer capacity %d for a %d-byte Content-Length", cap(got), len(body))
+		want := size + 1
+		if want <= maxPresize {
+			want = minClass
+			for want < size+1 {
+				want *= 2
+			}
 		}
+		if cap(got.Bytes) != want {
+			t.Fatalf("buffer capacity %d for a %d-byte Content-Length, want %d", cap(got.Bytes), size, want)
+		}
+		got.Release()
 		req = httptest.NewRequest(http.MethodPost, "/", io.MultiReader(bytes.NewReader(body)))
 		req.ContentLength = -1
-		if got, err = ReadBody(httptest.NewRecorder(), req); err != nil || !bytes.Equal(got, body) {
-			t.Fatalf("chunked: read %d bytes, %v", len(got), err)
+		if got, err = ReadBody(httptest.NewRecorder(), req); err != nil || !bytes.Equal(got.Bytes, body) {
+			t.Fatalf("chunked: read %d bytes, %v", len(got.Bytes), err)
 		}
+		got.Release()
 	}
 	req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(strings.Repeat(" ", MaxBodyBytes+1)))
 	req.ContentLength = -1
@@ -131,6 +142,33 @@ func TestReadBodySizing(t *testing.T) {
 	if _, err := ReadBody(httptest.NewRecorder(), req); !errors.As(err, &tooLarge) {
 		t.Fatalf("chunked body over the bound: %v", err)
 	}
+}
+
+// TestReleasePoisons checks the test hook: a released buffer holds
+// nothing but PoisonByte while poisoning is on, and is left as it is
+// after.
+func TestReleasePoisons(t *testing.T) {
+	read := func() Body {
+		req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(`{"a":1}`))
+		b, err := ReadBody(httptest.NewRecorder(), req)
+		if err != nil || string(b.Bytes) != `{"a":1}` {
+			t.Fatalf("read %q, %v", b.Bytes, err)
+		}
+		return b
+	}
+	stop := PoisonReleased()
+	b := read()
+	b.Release()
+	if full := b.Bytes[:cap(b.Bytes)]; bytes.Count(full, []byte{PoisonByte}) != len(full) {
+		t.Fatalf("released buffer not poisoned: %q", full[:16])
+	}
+	stop()
+	b = read()
+	b.Release()
+	if string(b.Bytes) != `{"a":1}` {
+		t.Fatalf("released buffer poisoned after stop: %q", b.Bytes)
+	}
+	Body{}.Release() // does nothing
 }
 
 // TestReadBodyStalledClient checks that a request declaring the full
