@@ -366,6 +366,41 @@ func BenchmarkBillYearEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkBillYearCPP is BenchmarkBillYearEngine with the fixed tariff
+// wrapped in a CPP tariff declaring twenty summer-afternoon events. CPP
+// has no native kernel, so each sample of that tariff is priced through
+// CPPTariff.PriceAt inside the engine's scan.
+func BenchmarkBillYearCPP(b *testing.B) {
+	c, load := benchYearContract(b)
+	cpp, err := tariff.NewCPP(c.Tariffs[0], 0.45, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	day := time.Date(2016, time.July, 4, 14, 0, 0, 0, benchStart.Location())
+	for i := 0; i < 20; i++ {
+		start := day.AddDate(0, 0, 3*i)
+		if err := cpp.Declare(tariff.CriticalWindow{Start: start, End: start.Add(4 * time.Hour)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	c.Tariffs[0] = cpp
+	eng, err := contract.NewEngine(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bills, err := eng.BillMonths(load, contract.BillingInput{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(bills) != 12 {
+			b.Fatalf("months = %d", len(bills))
+		}
+	}
+}
+
 // BenchmarkOptimizeYear is the optimizer's acceptance benchmark: a full
 // 2000-candidate annealing search over the metered year against the
 // bench contract, priced through the incremental re-bill fast path.

@@ -21,15 +21,30 @@ func series(kw ...float64) *timeseries.PowerSeries {
 	return timeseries.MustNewPower(t0, time.Hour, samples)
 }
 
-// probe is a test producer that records every sample it observes.
+// probe is a test producer whose scanner records what the evaluator
+// hands it: the period context and clock at Begin, every chunk's
+// (base, len), and every sample with its period-relative index. onScan,
+// when set, runs after each Scan call.
 type probe struct {
 	name    string
+	family  string
 	invalid bool
-	// begun counts BeginPeriod calls across goroutines; last is the
-	// most recent accumulator (only meaningful for single-period runs,
+	onScan  func()
+	// begun counts Begin calls across goroutines; last is the most
+	// recent period's record (only meaningful for single-period runs,
 	// but month workers store it concurrently).
 	begun atomic.Int64
-	last  atomic.Pointer[probeAcc]
+	last  atomic.Pointer[probeRecord]
+}
+
+type probeRecord struct {
+	hist     units.Power
+	start    time.Time
+	interval time.Duration
+	n        int
+	chunks   [][2]int
+	indexes  []int
+	samples  []units.Power
 }
 
 func (p *probe) Validate() error {
@@ -39,31 +54,43 @@ func (p *probe) Validate() error {
 	return nil
 }
 
-func (p *probe) Describe() string { return p.name }
+func (p *probe) Describe() string      { return p.name }
+func (p *probe) SpanFamily() string    { return p.family }
+func (p *probe) CompileKernel() Kernel { return (*probeKernel)(p) }
 
-func (p *probe) BeginPeriod(ctx *PeriodContext, interval time.Duration) Accumulator {
-	p.begun.Add(1)
-	a := &probeAcc{name: p.name, hist: ctx.HistoricalPeak, interval: interval}
-	p.last.Store(a)
-	return a
+type probeKernel probe
+
+func (k *probeKernel) NewScanner() Scanner { return &probeScanner{p: (*probe)(k)} }
+
+type probeScanner struct {
+	p   *probe
+	rec *probeRecord
 }
 
-type probeAcc struct {
-	name     string
-	hist     units.Power
-	interval time.Duration
-	samples  []Sample
+func (s *probeScanner) Begin(pctx *PeriodContext, start time.Time, interval time.Duration, n int) {
+	s.p.begun.Add(1)
+	s.rec = &probeRecord{hist: pctx.HistoricalPeak, start: start, interval: interval, n: n}
+	s.p.last.Store(s.rec)
 }
 
-func (a *probeAcc) Observe(s Sample) { a.samples = append(a.samples, s) }
+func (s *probeScanner) Scan(samples []units.Power, base int) {
+	s.rec.chunks = append(s.rec.chunks, [2]int{base, len(samples)})
+	for i, p := range samples {
+		s.rec.indexes = append(s.rec.indexes, base+i)
+		s.rec.samples = append(s.rec.samples, p)
+	}
+	if s.p.onScan != nil {
+		s.p.onScan()
+	}
+}
 
-func (a *probeAcc) Lines() []LineItem {
-	return []LineItem{{
+func (s *probeScanner) AppendLines(dst []LineItem) []LineItem {
+	return append(dst, LineItem{
 		Class:       ClassFlatFee,
-		Description: a.name,
+		Description: s.p.name,
 		Quantity:    "flat",
-		Amount:      units.Money(len(a.samples)),
-	}}
+		Amount:      units.Money(len(s.rec.indexes)),
+	})
 }
 
 func TestClassNames(t *testing.T) {
@@ -95,8 +122,12 @@ func TestNewEvaluatorValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Producers() != 2 {
-		t.Errorf("producers = %d", e.Producers())
+	res, err := e.EvaluatePeriod(series(1000), PeriodContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Lines) != 2 || res.Lines[0].Description != "a" || res.Lines[1].Description != "b" {
+		t.Errorf("lines = %+v", res.Lines)
 	}
 }
 
@@ -136,28 +167,21 @@ func TestEvaluatePeriodSamplesAndAggregates(t *testing.T) {
 		t.Errorf("total = %v", res.Total)
 	}
 	if p.begun.Load() != 1 {
-		t.Errorf("BeginPeriod calls = %d", p.begun.Load())
+		t.Errorf("Begin calls = %d", p.begun.Load())
 	}
-	// Sample contents: index order, interval-start timestamps, shared
-	// precomputed energy (power × 1 h here).
+	// Scanner inputs: every sample once, in index order, and the
+	// period's clock and context.
 	last := p.last.Load()
-	obs := last.samples
-	if len(obs) != 3 {
-		t.Fatalf("observed %d samples", len(obs))
+	if len(last.indexes) != 3 {
+		t.Fatalf("scanned %d samples", len(last.indexes))
 	}
-	for i, s := range obs {
-		if s.Index != i {
-			t.Errorf("sample %d index = %d", i, s.Index)
-		}
-		if !s.Time.Equal(t0.Add(time.Duration(i) * time.Hour)) {
-			t.Errorf("sample %d time = %v", i, s.Time)
-		}
-		if float64(s.Energy) != float64(s.Power) {
-			t.Errorf("sample %d energy = %v for power %v", i, s.Energy, s.Power)
+	for i, idx := range last.indexes {
+		if idx != i || last.samples[i] != load.At(i) {
+			t.Errorf("sample %d: index %d power %v", i, idx, last.samples[i])
 		}
 	}
-	if last.hist != 500 || last.interval != time.Hour {
-		t.Errorf("context plumbed = %v/%v", last.hist, last.interval)
+	if last.hist != 500 || !last.start.Equal(t0) || last.interval != time.Hour || last.n != 3 {
+		t.Errorf("context plumbed = %v/%v/%v/%d", last.hist, last.start, last.interval, last.n)
 	}
 }
 
@@ -198,17 +222,22 @@ func TestEvaluateMonthsEmptyAndSingle(t *testing.T) {
 // what the prescan threaded into each month.
 type ratchetProbe struct{}
 
-func (ratchetProbe) Validate() error  { return nil }
-func (ratchetProbe) Describe() string { return "ratchet-probe" }
-func (ratchetProbe) BeginPeriod(ctx *PeriodContext, _ time.Duration) Accumulator {
-	return &ratchetProbeAcc{hist: ctx.HistoricalPeak}
+func (ratchetProbe) Validate() error       { return nil }
+func (ratchetProbe) Describe() string      { return "ratchet-probe" }
+func (ratchetProbe) SpanFamily() string    { return "demand" }
+func (ratchetProbe) CompileKernel() Kernel { return ratchetProbe{} }
+func (ratchetProbe) NewScanner() Scanner   { return &ratchetProbeScanner{} }
+
+type ratchetProbeScanner struct{ hist units.Power }
+
+func (s *ratchetProbeScanner) Begin(pctx *PeriodContext, _ time.Time, _ time.Duration, _ int) {
+	s.hist = pctx.HistoricalPeak
 }
 
-type ratchetProbeAcc struct{ hist units.Power }
+func (s *ratchetProbeScanner) Scan([]units.Power, int) {}
 
-func (a *ratchetProbeAcc) Observe(Sample) {}
-func (a *ratchetProbeAcc) Lines() []LineItem {
-	return []LineItem{{Class: ClassDemandCharge, Description: "hist", Amount: units.Money(a.hist)}}
+func (s *ratchetProbeScanner) AppendLines(dst []LineItem) []LineItem {
+	return append(dst, LineItem{Class: ClassDemandCharge, Description: "hist", Amount: units.Money(s.hist)})
 }
 
 func TestEvaluateMonthsThreadsHistoricalPeak(t *testing.T) {

@@ -1,15 +1,13 @@
 package billing
 
-// Columnar evaluation: the tight-slice-scan twin of the per-sample
-// accumulator walk in billing.go. The period's load is viewed as
-// contiguous month blocks (timeseries.MonthBlock); each block is fed to
-// every compiled scanner chunk-at-a-time, so the inner loops are plain
-// []units.Power scans with no interface dispatch per sample. Built-in
-// energy/peak aggregates, context polling (every cancelCheckStride
-// samples untraced, every traceBlock samples traced) and the per-family
-// span attribution of the traced path are preserved exactly; the
-// arithmetic is bit-identical to the legacy walk by the kernel
-// compilation contract (kernel.go).
+// Columnar evaluation: the engine's one scan. The period's load is
+// viewed as contiguous month blocks (timeseries.MonthBlock); each block
+// is fed to every compiled scanner chunk-at-a-time, so the inner loops
+// are plain []units.Power scans with no interface dispatch per sample.
+// The built-in energy/peak aggregates ride the same pass; the context
+// is polled every cancelCheckStride samples untraced and every
+// traceBlock samples traced, where each component family's scanners are
+// timed per chunk.
 
 import (
 	"context"
@@ -20,7 +18,7 @@ import (
 	"repro/internal/units"
 )
 
-// scanSet is the pooled per-evaluation state of the columnar path: one
+// scanSet is the pooled per-evaluation state of the scan: one
 // scanner per kernel, the trace-family grouping of those scanners, the
 // month-block scratch, and the period context handed to Begin (kept on
 // the set so taking its address does not force a heap escape per
@@ -48,14 +46,19 @@ func (e *Evaluator) newScanSet() *scanSet {
 	return ss
 }
 
-// evaluateColumnar is the columnar counterpart of the sample walk in
-// evaluatePeriodInto. load is non-empty and ctx not yet cancelled
-// (checked by the caller). Untraced, it scans cancelCheckStride-sample
-// chunks and reads no clock. When ctx carries an obs.Registry it uses
-// the traced sample walk's chunking (traceBlock) and times each
-// component family's scanners per chunk, so observation cost
-// attributes to "billing.<family>" spans exactly as on that path.
-func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.PowerSeries, pctx PeriodContext, res *Result) error {
+// evaluatePeriodInto evaluates one period into a caller-owned Result —
+// the allocation-lean core EvaluateMonths fills its result slab with.
+// Untraced, it scans cancelCheckStride-sample chunks and reads no
+// clock. When ctx carries an obs.Registry it scans traceBlock-sample
+// chunks and times each component family's scanners per chunk, so scan
+// cost attributes to "billing.<family>" spans.
+func (e *Evaluator) evaluatePeriodInto(ctx context.Context, load *timeseries.PowerSeries, pctx PeriodContext, res *Result) error {
+	if load == nil || load.Len() == 0 {
+		return ErrEmptyLoad
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	ss := e.pool.Get().(*scanSet)
 	defer e.pool.Put(ss)
 
@@ -120,13 +123,6 @@ func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.Power
 			reg.Observe(SpanFamilyPrefix+name, nanos[g].Seconds())
 		}
 	}
-	e.finishColumnar(ss, load, res, kwh, peak, peakIdx)
-	endPeriod()
-	return nil
-}
-
-// finishColumnar assembles the period result from the scanners.
-func (e *Evaluator) finishColumnar(ss *scanSet, load *timeseries.PowerSeries, res *Result, kwh float64, peak units.Power, peakIdx int) {
 	res.PeriodStart = load.Start()
 	res.PeriodEnd = load.End()
 	res.Energy = units.Energy(kwh)
@@ -142,4 +138,6 @@ func (e *Evaluator) finishColumnar(ss *scanSet, load *timeseries.PowerSeries, re
 	}
 	res.Lines = lines
 	res.Total = total
+	endPeriod()
+	return nil
 }

@@ -1,9 +1,9 @@
 package billing
 
-// Columnar-path mechanics: chunking, cancellation polling, tracing and
-// scanner reuse. Arithmetic equivalence against the sample walk is
+// Scan mechanics: chunking, cancellation polling, tracing and scanner
+// reuse. Arithmetic equivalence against the legacy multi-pass path is
 // pinned end to end by contract's golden and fuzz suites; these tests
-// cover the evaluator-level contract of the columnar machinery itself.
+// cover the evaluator-level contract of the scan itself.
 
 import (
 	"context"
@@ -16,61 +16,6 @@ import (
 	"repro/internal/timeseries"
 	"repro/internal/units"
 )
-
-// scanProbe is a kernel-capable producer that records every chunk its
-// scanner receives and can invoke a hook on each Scan call.
-type scanProbe struct {
-	name   string
-	family string
-	onScan func()
-
-	// chunks records (base, len) per Scan call; indexes records the
-	// period-relative index of every sample seen, in order.
-	chunks  [][2]int
-	indexes []int
-	begun   int
-}
-
-func (p *scanProbe) Validate() error    { return nil }
-func (p *scanProbe) Describe() string   { return p.name }
-func (p *scanProbe) SpanFamily() string { return p.family }
-
-func (p *scanProbe) BeginPeriod(*PeriodContext, time.Duration) Accumulator {
-	panic("scanProbe: sample-walk path must not run in columnar tests")
-}
-
-func (p *scanProbe) CompileKernel() Kernel { return (*scanProbeKernel)(p) }
-
-type scanProbeKernel scanProbe
-
-func (k *scanProbeKernel) NewScanner() Scanner { return &scanProbeScanner{p: (*scanProbe)(k)} }
-
-type scanProbeScanner struct{ p *scanProbe }
-
-func (s *scanProbeScanner) Begin(*PeriodContext, time.Time, time.Duration, int) {
-	s.p.begun++
-	s.p.chunks = s.p.chunks[:0]
-	s.p.indexes = s.p.indexes[:0]
-}
-
-func (s *scanProbeScanner) Scan(samples []units.Power, base int) {
-	s.p.chunks = append(s.p.chunks, [2]int{base, len(samples)})
-	for i := range samples {
-		s.p.indexes = append(s.p.indexes, base+i)
-	}
-	if s.p.onScan != nil {
-		s.p.onScan()
-	}
-}
-
-func (s *scanProbeScanner) AppendLines(dst []LineItem) []LineItem {
-	return append(dst, LineItem{
-		Class:       ClassFlatFee,
-		Description: s.p.name,
-		Quantity:    "flat",
-		Amount:      units.Money(len(s.p.indexes)),
-	})
-}
 
 // twoMonthLoad returns hourly samples covering March and April 2016.
 func twoMonthLoad() *timeseries.PowerSeries {
@@ -87,13 +32,10 @@ func twoMonthLoad() *timeseries.PowerSeries {
 // cross a month-block boundary — on both the untraced and traced paths.
 func TestColumnarChunksPartitionPeriod(t *testing.T) {
 	for _, traced := range []bool{false, true} {
-		p := &scanProbe{name: "probe", family: "tariff"}
+		p := &probe{name: "probe", family: "tariff"}
 		e, err := NewEvaluator(p)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !e.Columnar() {
-			t.Fatal("probe kernel should compile")
 		}
 		load := twoMonthLoad()
 		ctx := context.Background()
@@ -103,17 +45,18 @@ func TestColumnarChunksPartitionPeriod(t *testing.T) {
 		if _, err := e.EvaluatePeriodCtx(ctx, load, PeriodContext{}); err != nil {
 			t.Fatal(err)
 		}
-		if len(p.indexes) != load.Len() {
-			t.Fatalf("traced=%v: scanner saw %d samples, want %d", traced, len(p.indexes), load.Len())
+		rec := p.last.Load()
+		if len(rec.indexes) != load.Len() {
+			t.Fatalf("traced=%v: scanner saw %d samples, want %d", traced, len(rec.indexes), load.Len())
 		}
-		for i, idx := range p.indexes {
+		for i, idx := range rec.indexes {
 			if idx != i {
 				t.Fatalf("traced=%v: sample %d arrived with index %d", traced, i, idx)
 			}
 		}
 		blocks := load.Blocks()
 		bi := 0
-		for _, ch := range p.chunks {
+		for _, ch := range rec.chunks {
 			base, n := ch[0], ch[1]
 			for base >= blocks[bi].Offset+len(blocks[bi].Samples) {
 				bi++
@@ -131,7 +74,7 @@ func TestColumnarChunksPartitionPeriod(t *testing.T) {
 func TestColumnarCancelsMidScan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p := &scanProbe{name: "probe", family: "tariff", onScan: cancel}
+	p := &probe{name: "probe", family: "tariff", onScan: cancel}
 	e, err := NewEvaluator(p)
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +83,10 @@ func TestColumnarCancelsMidScan(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(p.chunks) >= 2+1 {
+	if n := len(p.last.Load().chunks); n >= 2+1 {
 		// Hourly months are under one cancel stride, so the first chunk
 		// cancels and at most the in-flight poll gap leaks one more.
-		t.Fatalf("scanner kept receiving chunks after cancellation: %d", len(p.chunks))
+		t.Fatalf("scanner kept receiving chunks after cancellation: %d", n)
 	}
 }
 
@@ -153,15 +96,12 @@ func TestColumnarTracedMatchesUntracedAndRecordsSpans(t *testing.T) {
 	load := twoMonthLoad()
 	mk := func() *Evaluator {
 		e, err := NewEvaluator(
-			&scanProbe{name: "a", family: "tariff"},
-			&scanProbe{name: "b", family: "demand"},
+			&probe{name: "a", family: "tariff"},
+			&probe{name: "b", family: "demand"},
 			FlatFee{Name: "metering", Amount: units.MoneyFromFloat(500)},
 		)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !e.Columnar() {
-			t.Fatal("kernels should compile")
 		}
 		return e
 	}
@@ -191,7 +131,7 @@ func TestColumnarTracedMatchesUntracedAndRecordsSpans(t *testing.T) {
 // TestColumnarScannerReuse: pooled scanners must fully reset between
 // periods — consecutive evaluations see identical results.
 func TestColumnarScannerReuse(t *testing.T) {
-	e, err := NewEvaluator(&scanProbe{name: "probe", family: "tariff"})
+	e, err := NewEvaluator(&probe{name: "probe", family: "tariff"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,22 +146,6 @@ func TestColumnarScannerReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("pooled scanner leaked state between periods:\n%+v\nvs\n%+v", first, second)
-	}
-}
-
-// TestSetColumnarRefusedWithoutKernels: a producer without a kernel
-// keeps the evaluator on the sample walk, and SetColumnar cannot force
-// it columnar.
-func TestSetColumnarRefusedWithoutKernels(t *testing.T) {
-	e, err := NewEvaluator(&probe{name: "p"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Columnar() {
-		t.Fatal("probe has no kernel; evaluator must start on the sample walk")
-	}
-	if e.SetColumnar(true) {
-		t.Fatal("SetColumnar(true) must be refused without kernels")
 	}
 }
 

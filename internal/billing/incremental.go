@@ -107,14 +107,10 @@ func (e *Evaluator) IncrementalMonths(ctx context.Context, load *timeseries.Powe
 		stagePeaks:   make([]units.Power, n),
 		stageHist:    make([]units.Power, n),
 	}
-	run := pctx.HistoricalPeak
 	for i := range blocks {
 		im.peaks[i] = blocks[i].Peak()
-		im.hist[i] = run
-		if im.peaks[i] > run {
-			run = im.peaks[i]
-		}
 	}
+	enteringPeaks(im.hist, im.peaks, pctx.HistoricalPeak)
 	for i := range months {
 		mctx := pctx
 		mctx.HistoricalPeak = im.hist[i]
@@ -159,15 +155,10 @@ func (im *IncrementalMonths) Stage(ctx context.Context, touched []int) (units.Mo
 	// Recompute the prefix-maximum historical peak; for peak-independent
 	// evaluators the committed one is still valid and months stay
 	// independent.
-	copy(im.stageHist, im.hist)
 	if im.ratchet {
-		run := im.pctx.HistoricalPeak
-		for i := range im.stagePeaks {
-			im.stageHist[i] = run
-			if im.stagePeaks[i] > run {
-				run = im.stagePeaks[i]
-			}
-		}
+		enteringPeaks(im.stageHist, im.stagePeaks, im.pctx.HistoricalPeak)
+	} else {
+		copy(im.stageHist, im.hist)
 	}
 
 	for _, m := range touched {
@@ -188,10 +179,6 @@ func (im *IncrementalMonths) Stage(ctx context.Context, touched []int) (units.Mo
 		}
 		mctx := im.pctx
 		mctx.HistoricalPeak = im.stageHist[i]
-		// Reset the staged slot before reuse: the sample-walk path
-		// appends to Lines while the columnar path assigns it, so a
-		// stale slot must present an empty (capacity-preserving) state.
-		im.stageResults[i] = Result{Lines: im.stageResults[i].Lines[:0]}
 		if err := im.eval.evaluatePeriodInto(ctx, &im.months[i], mctx, &im.stageResults[i]); err != nil {
 			im.Discard()
 			return 0, err
@@ -212,9 +199,7 @@ func (im *IncrementalMonths) Commit() {
 	}
 	for i := range im.dirty {
 		if im.dirty[i] {
-			// Swap rather than copy so both slots keep their line-item
-			// capacity for reuse.
-			im.results[i], im.stageResults[i] = im.stageResults[i], im.results[i]
+			im.results[i] = im.stageResults[i]
 			im.dirty[i] = false
 		}
 	}

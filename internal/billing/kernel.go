@@ -1,18 +1,17 @@
 package billing
 
-// Columnar kernel interfaces. A Kernel is the compiled, columnar twin
-// of a LineItemProducer: where an Accumulator observes boxed Samples
-// one at a time through an interface call, a Scanner consumes
-// contiguous []units.Power chunks of a month block in a tight loop —
-// no per-sample dispatch, near-zero allocation. Producers opt in by
-// implementing KernelProducer; the evaluator takes the columnar path
-// only when every producer compiles (a single holdout falls the whole
-// evaluation back to the sample-walk oracle, keeping bills exact).
+// Columnar kernel interfaces. A Kernel is a LineItemProducer compiled
+// for the evaluator's one scan: its Scanner consumes contiguous
+// []units.Power chunks of a month block in a tight loop — no
+// per-sample dispatch, near-zero allocation. A component with no
+// specialised kernel still compiles one, pricing each sample of the
+// chunk through its own per-sample arithmetic inside the same scan.
 //
 // The compilation contract is strict arithmetic identity: a scanner
 // must perform the same floating-point operations in the same order as
-// the producer's accumulator, so the columnar path is byte-identical to
-// the legacy path bill-for-bill (pinned by contract's golden tests).
+// the component's standalone Cost method, so the engine is
+// byte-identical to the legacy multi-pass path bill-for-bill (pinned by
+// contract's golden tests).
 
 import (
 	"time"
@@ -44,39 +43,6 @@ type Scanner interface {
 	// AppendLines appends the period's line items to dst and returns
 	// the extended slice, called once after the last chunk.
 	AppendLines(dst []LineItem) []LineItem
-}
-
-// KernelProducer is an optional LineItemProducer extension: producers
-// that can compile themselves into a columnar kernel implement it.
-// CompileKernel may return nil when this particular instance cannot be
-// compiled (e.g. a tariff stack containing a non-compilable component);
-// the evaluator then keeps the sample-walk path for the whole contract.
-type KernelProducer interface {
-	CompileKernel() Kernel
-}
-
-// CompileKernel compiles the flat fee: no per-sample work at all.
-func (f FlatFee) CompileKernel() Kernel { return feeKernel{fee: f} }
-
-var _ KernelProducer = FlatFee{}
-
-type feeKernel struct{ fee FlatFee }
-
-func (k feeKernel) NewScanner() Scanner { return &feeScanner{fee: k.fee} }
-
-type feeScanner struct{ fee FlatFee }
-
-func (s *feeScanner) Begin(*PeriodContext, time.Time, time.Duration, int) {}
-
-func (s *feeScanner) Scan([]units.Power, int) {}
-
-func (s *feeScanner) AppendLines(dst []LineItem) []LineItem {
-	return append(dst, LineItem{
-		Class:       ClassFlatFee,
-		Description: s.fee.Name,
-		Quantity:    "flat",
-		Amount:      s.fee.Amount,
-	})
 }
 
 // CeilIndex returns the smallest sample index i such that

@@ -59,13 +59,10 @@ func (e *Evaluator) EvaluateMonths(load *timeseries.PowerSeries, ctx PeriodConte
 	endPrescan := obs.Span(cctx, SpanPrescan)
 	blocks := load.Blocks()
 	hist := make([]units.Power, len(blocks))
-	run := ctx.HistoricalPeak
 	for i := range blocks {
-		hist[i] = run
-		if p := blocks[i].Peak(); p > run {
-			run = p
-		}
+		hist[i] = blocks[i].Peak()
 	}
+	enteringPeaks(hist, hist, ctx.HistoricalPeak)
 	endPrescan()
 
 	// Phase 2: evaluate months on the pool, into one result slab.
@@ -126,4 +123,15 @@ func (e *Evaluator) EvaluateMonths(load *timeseries.PowerSeries, ctx PeriodConte
 		}
 	}
 	return results, nil
+}
+
+// enteringPeaks sets hist[i] to the historical peak entering month i —
+// the prefix maximum of run and peaks[:i]. hist may alias peaks.
+func enteringPeaks(hist, peaks []units.Power, run units.Power) {
+	for i, p := range peaks {
+		hist[i] = run
+		if p > run {
+			run = p
+		}
+	}
 }

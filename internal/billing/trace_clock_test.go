@@ -16,33 +16,26 @@ import (
 	"repro/internal/obs"
 )
 
-// TestTracedSpanClockInjection pins the traced paths' clock discipline
-// with a tick-counting fake clock, on the sample walk and on the
-// columnar path (kernel-compiled producers): 2 reads per family per
-// chunk, each family span summing to exactly one fake tick per chunk,
-// and a Result identical to the untraced path.
+// TestTracedSpanClockInjection pins the traced scan's clock discipline
+// with a tick-counting fake clock: 2 reads per family per chunk, each
+// family span summing to exactly one fake tick per chunk, and a Result
+// identical to the untraced path.
 func TestTracedSpanClockInjection(t *testing.T) {
 	n := 2*traceBlock + 9 // March and part of April, hourly
 	load := series(traceLoad(n)...)
-	// The sample walk chunks the period; the columnar path chunks each
-	// month block.
-	walkChunks := (n + traceBlock - 1) / traceBlock
-	columnarChunks := 0
+	// The scan chunks each month block.
+	chunks := 0
 	for _, blk := range load.Blocks() {
-		columnarChunks += (len(blk.Samples) + traceBlock - 1) / traceBlock
+		chunks += (len(blk.Samples) + traceBlock - 1) / traceBlock
 	}
 
 	cases := []struct {
-		name     string
-		columnar bool
-		chunks   int
-		mk       func() []LineItemProducer
+		name   string
+		chunks int
+		mk     func() []LineItemProducer
 	}{
-		{"sample walk", false, walkChunks, func() []LineItemProducer {
-			return []LineItemProducer{&famProbe{family: "tariff"}, &famProbe{family: "demand"}}
-		}},
-		{"columnar", true, columnarChunks, func() []LineItemProducer {
-			return []LineItemProducer{&scanProbe{family: "tariff"}, &scanProbe{family: "demand"}}
+		{"columnar", chunks, func() []LineItemProducer {
+			return []LineItemProducer{&probe{family: "tariff"}, &probe{family: "demand"}}
 		}},
 	}
 	for _, tc := range cases {
@@ -51,9 +44,6 @@ func TestTracedSpanClockInjection(t *testing.T) {
 				ev, err := NewEvaluator(tc.mk()...)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if ev.Columnar() != tc.columnar {
-					t.Fatalf("Columnar() = %v, want %v", ev.Columnar(), tc.columnar)
 				}
 				return ev
 			}

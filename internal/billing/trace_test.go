@@ -2,7 +2,7 @@ package billing
 
 // Span-tracing tests: evaluation with an obs.Registry attached to the
 // context must produce a bit-identical Result to the untraced path
-// while attributing observation cost per component family.
+// while attributing scan cost per component family.
 
 import (
 	"context"
@@ -14,14 +14,6 @@ import (
 	"repro/internal/timeseries"
 	"repro/internal/units"
 )
-
-// famProbe is a probe producer with an explicit trace family.
-type famProbe struct {
-	probe
-	family string
-}
-
-func (p *famProbe) SpanFamily() string { return p.family }
 
 func traceLoad(n int) []float64 {
 	kw := make([]float64, n)
@@ -38,10 +30,10 @@ func TestTracedEvaluationMatchesUntraced(t *testing.T) {
 	load := series(traceLoad(3 * traceBlock)...)
 	mk := func() *Evaluator {
 		ev, err := NewEvaluator(
-			&famProbe{family: "tariff"},
-			&famProbe{family: "demand"},
+			&probe{family: "tariff"},
+			&probe{family: "demand"},
 			FlatFee{Name: "metering", Amount: units.MoneyFromFloat(500)},
-			&probe{}, // no family: pools under "other"
+			&probe{family: "other"},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -79,12 +71,12 @@ func TestTracedEvaluationMatchesUntraced(t *testing.T) {
 	}
 }
 
-// TestTracedObservationOrder: the block-wise traced loop must still
-// hand every accumulator every sample exactly once, in order.
+// TestTracedObservationOrder: the chunked traced scan must still hand
+// every scanner every sample exactly once, in order.
 func TestTracedObservationOrder(t *testing.T) {
 	n := traceBlock + 7 // a full block plus a partial tail
 	load := series(traceLoad(n)...)
-	p := &famProbe{family: "tariff"}
+	p := &probe{family: "tariff"}
 	ev, err := NewEvaluator(p)
 	if err != nil {
 		t.Fatal(err)
@@ -93,13 +85,13 @@ func TestTracedObservationOrder(t *testing.T) {
 	if _, err := ev.EvaluatePeriodCtx(ctx, load, PeriodContext{}); err != nil {
 		t.Fatal(err)
 	}
-	acc := p.last.Load()
-	if len(acc.samples) != n {
-		t.Fatalf("accumulator saw %d samples, want %d", len(acc.samples), n)
+	rec := p.last.Load()
+	if len(rec.indexes) != n {
+		t.Fatalf("scanner saw %d samples, want %d", len(rec.indexes), n)
 	}
-	for i, s := range acc.samples {
-		if s.Index != i {
-			t.Fatalf("sample %d has index %d: traced loop broke chronological order", i, s.Index)
+	for i, idx := range rec.indexes {
+		if idx != i {
+			t.Fatalf("sample %d has index %d: traced scan broke chronological order", i, idx)
 		}
 	}
 }
@@ -116,7 +108,7 @@ func TestTracedMonths(t *testing.T) {
 	}
 	load := timeseries.MustNewPower(start, time.Hour, samples)
 
-	ev, err := NewEvaluator(&famProbe{family: "demand"})
+	ev, err := NewEvaluator(&probe{family: "demand"})
 	if err != nil {
 		t.Fatal(err)
 	}

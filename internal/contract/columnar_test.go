@@ -1,13 +1,12 @@
 package contract
 
-// Columnar ≡ sample-walk ≡ legacy equivalence. The engine defaults to
-// the columnar path whenever every component compiles a kernel, so the
-// existing golden tests already cross-check columnar vs legacy; this
-// suite pins the remaining triangle edge (columnar vs the engine's own
-// sample walk via SetColumnar) and stresses the cases where the
-// columnar representation could plausibly diverge: DST transition
-// months, partial first/last months, series whose chunk boundaries
-// straddle month edges, and a fuzz target over random geometries.
+// Columnar ≡ legacy equivalence. Every engine bills on the columnar
+// scan; the golden tests already cross-check it against the legacy
+// multi-pass path on the example contracts, and this suite stresses the
+// cases where the columnar representation could plausibly diverge: DST
+// transition months, partial first/last months, series whose chunk
+// boundaries straddle month edges, CPP tariffs priced per sample inside
+// the scan, and a fuzz target over random geometries.
 
 import (
 	"math"
@@ -21,17 +20,18 @@ import (
 	"repro/internal/units"
 )
 
-// assertColumnarTriangle bills the case on the columnar path, the
-// engine's sample-walk path, and the legacy multi-pass path, and
-// requires identical bills from all three — single period and monthly.
-func assertColumnarTriangle(t *testing.T, name string, c *Contract, load *timeseries.PowerSeries, in BillingInput) {
+// assertColumnarMatchesLegacy bills the case on the engine and on the
+// legacy multi-pass path and requires identical bills, single period
+// and monthly. columnar is the Engine.Columnar the contract must report:
+// false exactly when some tariff has no native kernel.
+func assertColumnarMatchesLegacy(t *testing.T, name string, c *Contract, load *timeseries.PowerSeries, in BillingInput, columnar bool) {
 	t.Helper()
 	eng, err := NewEngine(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Columnar() {
-		t.Fatalf("%s: engine did not compile to the columnar path", name)
+	if eng.Columnar() != columnar {
+		t.Fatalf("%s: Columnar() = %v, want %v", name, eng.Columnar(), columnar)
 	}
 
 	colBill, err := eng.Bill(load, in)
@@ -42,20 +42,6 @@ func assertColumnarTriangle(t *testing.T, name string, c *Contract, load *timese
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	eng.SetColumnar(false)
-	walkBill, err := eng.Bill(load, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	walkMonths, err := eng.BillMonths(load, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eng.SetColumnar(true) {
-		t.Fatalf("%s: could not re-enable columnar path", name)
-	}
-
 	legacyBill, err := ComputeBillLegacy(c, load, in)
 	if err != nil {
 		t.Fatal(err)
@@ -65,14 +51,12 @@ func assertColumnarTriangle(t *testing.T, name string, c *Contract, load *timese
 		t.Fatal(err)
 	}
 
-	assertBillsIdentical(t, name+"/columnar-vs-walk", colBill, walkBill)
 	assertBillsIdentical(t, name+"/columnar-vs-legacy", colBill, legacyBill)
-	if len(colMonths) != len(walkMonths) || len(colMonths) != len(legacyMonths) {
-		t.Fatalf("%s: month counts %d / %d / %d", name, len(colMonths), len(walkMonths), len(legacyMonths))
+	if len(colMonths) != len(legacyMonths) {
+		t.Fatalf("%s: month counts %d / %d", name, len(colMonths), len(legacyMonths))
 	}
 	for i := range colMonths {
 		label := name + "/" + colMonths[i].PeriodStart.Format("2006-01")
-		assertBillsIdentical(t, label+"/columnar-vs-walk", colMonths[i], walkMonths[i])
 		assertBillsIdentical(t, label+"/columnar-vs-legacy", colMonths[i], legacyMonths[i])
 	}
 }
@@ -117,6 +101,47 @@ func columnarContract(t *testing.T, feedStart time.Time, feedLen int) *Contract 
 	}
 }
 
+// columnarCPPContract is columnarContract plus two CPP tariffs, which
+// have no native kernel and are priced per sample through PriceAt
+// inside the scan: one over a TOU base, with windows across the first
+// month edge after start and across both 2016 DST days in Europe/Zurich
+// (start's zone without tzdata), and one stacked next to a native fixed
+// component.
+func columnarCPPContract(t *testing.T, start, feedStart time.Time, feedLen int) *Contract {
+	t.Helper()
+	c := columnarContract(t, feedStart, feedLen)
+	c.Name = "columnar-cpp"
+	dst := start.Location()
+	if zurich, err := time.LoadLocation("Europe/Zurich"); err == nil {
+		dst = zurich
+	}
+	y, m, _ := start.Date()
+	edge := time.Date(y, m+1, 1, 0, 0, 0, 0, start.Location())
+	windows := []tariff.CriticalWindow{
+		{Start: start.Add(20 * time.Hour), End: start.Add(27 * time.Hour)},
+		{Start: edge.Add(-5 * time.Hour), End: edge.Add(4 * time.Hour)},
+		{Start: time.Date(2016, time.March, 27, 0, 0, 0, 0, dst), End: time.Date(2016, time.March, 28, 0, 0, 0, 0, dst)},
+		{Start: time.Date(2016, time.October, 30, 0, 0, 0, 0, dst), End: time.Date(2016, time.October, 31, 0, 0, 0, 0, dst)},
+	}
+	cpp := func(base tariff.Tariff, rate units.EnergyPrice, ws []tariff.CriticalWindow) *tariff.CPPTariff {
+		tt, err := tariff.NewCPP(base, rate, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range ws {
+			if err := tt.Declare(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tt
+	}
+	c.Tariffs = append(c.Tariffs,
+		cpp(c.Tariffs[1], 0.62, windows),
+		tariff.MustNewStack(tariff.MustNewFixed(0.019), cpp(tariff.MustNewFixed(0.013), 0.3, windows[1:])),
+	)
+	return c
+}
+
 // columnarLoad builds a deterministic sinusoid-plus-drift load without
 // the hpc generator, so start instants and intervals are unconstrained.
 func columnarLoad(start time.Time, interval time.Duration, n int) *timeseries.PowerSeries {
@@ -142,7 +167,8 @@ func columnarInput(start time.Time) BillingInput {
 func TestColumnarEquivalenceUTCYear(t *testing.T) {
 	start := time.Date(2016, time.January, 1, 0, 0, 0, 0, time.UTC)
 	load := columnarLoad(start, 15*time.Minute, 366*24*4)
-	assertColumnarTriangle(t, "utc-leap-year", columnarContract(t, start, 400), load, columnarInput(start))
+	assertColumnarMatchesLegacy(t, "utc-leap-year", columnarContract(t, start, 400), load, columnarInput(start), true)
+	assertColumnarMatchesLegacy(t, "utc-leap-year/cpp", columnarCPPContract(t, start, start, 400), load, columnarInput(start), false)
 }
 
 func TestColumnarEquivalencePartialMonths(t *testing.T) {
@@ -150,7 +176,9 @@ func TestColumnarEquivalencePartialMonths(t *testing.T) {
 	// first and last months, odd alignment against hour and feed slots.
 	start := time.Date(2016, time.March, 17, 13, 7, 0, 0, time.UTC)
 	load := columnarLoad(start, 7*time.Minute, 18000)
-	assertColumnarTriangle(t, "partial-months", columnarContract(t, start.Add(26*time.Hour), 300), load, columnarInput(start))
+	feedStart := start.Add(26 * time.Hour)
+	assertColumnarMatchesLegacy(t, "partial-months", columnarContract(t, feedStart, 300), load, columnarInput(start), true)
+	assertColumnarMatchesLegacy(t, "partial-months/cpp", columnarCPPContract(t, start, feedStart, 300), load, columnarInput(start), false)
 }
 
 func TestColumnarEquivalenceZurichDST(t *testing.T) {
@@ -173,17 +201,22 @@ func TestColumnarEquivalenceZurichDST(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			load := columnarLoad(tc.start, 15*time.Minute, tc.n)
-			assertColumnarTriangle(t, tc.name, columnarContract(t, tc.start, 24*20), load, columnarInput(tc.start))
+			assertColumnarMatchesLegacy(t, tc.name, columnarContract(t, tc.start, 24*20), load, columnarInput(tc.start), true)
+			assertColumnarMatchesLegacy(t, tc.name+"/cpp", columnarCPPContract(t, tc.start, tc.start, 24*20), load, columnarInput(tc.start), false)
 		})
 	}
 }
 
-// TestColumnarFallsBackOnCPP pins the all-or-nothing compilation rule:
-// a CPP tariff has no kernel, so the whole engine stays on the sample
-// walk — and still bills correctly.
+// TestColumnarFallsBackOnCPP: a CPP tariff has no native kernel, so
+// Columnar() reports false, and the engine still bills it identically
+// to the legacy path.
 func TestColumnarFallsBackOnCPP(t *testing.T) {
 	cpp, err := tariff.NewCPP(tariff.MustNewFixed(0.05), 0.75, 4)
 	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Date(2016, time.May, 1, 0, 0, 0, 0, time.UTC)
+	if err := cpp.Declare(tariff.CriticalWindow{Start: start.Add(40 * time.Hour), End: start.Add(43 * time.Hour)}); err != nil {
 		t.Fatal(err)
 	}
 	c := &Contract{
@@ -191,36 +224,18 @@ func TestColumnarFallsBackOnCPP(t *testing.T) {
 		Tariffs:       []tariff.Tariff{cpp},
 		DemandCharges: []*demand.Charge{demand.SimpleCharge(12)},
 	}
-	eng, err := NewEngine(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Columnar() {
-		t.Fatal("engine with a CPP tariff must not compile to the columnar path")
-	}
-	if eng.SetColumnar(true) {
-		t.Fatal("SetColumnar(true) must be refused without kernels")
-	}
-	start := time.Date(2016, time.May, 1, 0, 0, 0, 0, time.UTC)
 	load := columnarLoad(start, 15*time.Minute, 30*24*4)
-	got, err := eng.Bill(load, BillingInput{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ComputeBillLegacy(c, load, BillingInput{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBillsIdentical(t, "cpp-fallback", got, want)
+	assertColumnarMatchesLegacy(t, "cpp-fallback", c, load, BillingInput{}, false)
 }
 
-// FuzzColumnarEquivalence cross-checks the three paths over random
-// series geometries — arbitrary start instant, interval and length, so
-// month blocks of every shape (empty-adjacent, single-sample, chunk
-// -straddling) flow through the kernels. Starts in a +05:30 fixed zone
-// and in Europe/Zurich (when its tzdata is present; both DST
-// transitions) hold the TOU kernel's wall-clock hours to the oracle
-// away from UTC.
+// FuzzColumnarEquivalence cross-checks the engine against the legacy
+// path over random series geometries — arbitrary start instant,
+// interval and length, so month blocks of every shape (empty-adjacent,
+// single-sample, chunk-straddling) flow through the kernels. Starts in
+// a +05:30 fixed zone and in Europe/Zurich (when its tzdata is present;
+// both DST transitions) hold the TOU kernel's wall-clock hours to the
+// oracle away from UTC. Each input bills the native contract and its
+// CPP variant.
 func FuzzColumnarEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(900), uint16(3000), uint8(0))
 	f.Add(int64(2016), uint16(420), uint16(9000), uint8(1))
@@ -257,8 +272,9 @@ func FuzzColumnarEquivalence(f *testing.F) {
 		}
 		load := timeseries.MustNewPower(start, interval, samples)
 
-		c := columnarContract(t, start.Add(time.Duration(seed%48)*time.Hour), 200)
+		feedStart := start.Add(time.Duration(seed%48) * time.Hour)
 		in := columnarInput(start)
-		assertColumnarTriangle(t, "fuzz", c, load, in)
+		assertColumnarMatchesLegacy(t, "fuzz", columnarContract(t, feedStart, 200), load, in, true)
+		assertColumnarMatchesLegacy(t, "fuzz-cpp", columnarCPPContract(t, start, feedStart, 200), load, in, false)
 	})
 }

@@ -173,46 +173,11 @@ func (o *EmergencyObligation) Cost(load *timeseries.PowerSeries, events []Emerge
 	return total
 }
 
-// BeginPeriod returns the obligation's streaming accumulator, which
-// prices excess draw during declared emergencies on the engine's single
-// pass. Declared events arrive through the period context's windows.
-func (o *EmergencyObligation) BeginPeriod(ctx *billing.PeriodContext, interval time.Duration) billing.Accumulator {
-	return &emergencyAcc{ob: o, windows: ctx.Emergencies, h: interval.Hours()}
-}
-
-// SpanFamily attributes observation cost to the emergency-DR family
+// SpanFamily attributes scan cost to the emergency-DR family
 // (the typology's "other" branch) in span traces.
 func (o *EmergencyObligation) SpanFamily() string { return "emergency" }
 
 var _ billing.LineItemProducer = (*EmergencyObligation)(nil)
-
-type emergencyAcc struct {
-	ob      *EmergencyObligation
-	windows []billing.Window
-	h       float64
-	total   units.Money
-}
-
-func (a *emergencyAcc) Observe(s billing.Sample) {
-	if len(a.windows) == 0 || s.Power <= a.ob.Cap {
-		return
-	}
-	for _, w := range a.windows {
-		if w.Covers(s.Time) {
-			a.total += a.ob.Penalty.Cost(units.Energy(float64(s.Power-a.ob.Cap) * a.h))
-			return
-		}
-	}
-}
-
-func (a *emergencyAcc) Lines() []billing.LineItem {
-	return []billing.LineItem{{
-		Class:       billing.ClassEmergencyDR,
-		Description: a.ob.Describe(),
-		Quantity:    fmt.Sprintf("%d events", len(a.windows)),
-		Amount:      a.total,
-	}}
-}
 
 // FixedFee is a flat per-billing-period amount (service fees, metering
 // fees, taxes folded to a constant). Excluded from the typology.

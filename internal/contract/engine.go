@@ -5,9 +5,10 @@ package contract
 // billing.LineItemProducer — tariffs through the tariff package's
 // adapter, demand charges, powerbands and emergency obligations
 // directly (they implement the interface), fees as billing.FlatFee —
-// and validates the lot once. Evaluation then streams each billing
-// period's load series exactly once, regardless of how many components
-// the contract has, and calendar months evaluate concurrently.
+// validates the lot once and compiles each into a columnar kernel.
+// Evaluation then scans each billing period's load series exactly
+// once, regardless of how many components the contract has, and
+// calendar months evaluate concurrently.
 
 import (
 	"context"
@@ -25,8 +26,9 @@ import (
 // the same contract in a tight loop should build one Engine and reuse
 // it rather than calling ComputeBill per iteration.
 type Engine struct {
-	c    *Contract
-	eval *billing.Evaluator
+	c        *Contract
+	eval     *billing.Evaluator
+	columnar bool
 }
 
 // NewEngine validates the contract and all its components and compiles
@@ -37,8 +39,10 @@ func NewEngine(c *Contract) (*Engine, error) {
 	}
 	producers := make([]billing.LineItemProducer, 0,
 		len(c.Tariffs)+len(c.DemandCharges)+len(c.Powerbands)+len(c.Emergencies)+len(c.Fees))
+	columnar := true
 	for _, t := range c.Tariffs {
 		producers = append(producers, tariff.Producer(t))
+		columnar = columnar && tariff.HasNativeKernel(t)
 	}
 	for _, dc := range c.DemandCharges {
 		producers = append(producers, dc)
@@ -56,21 +60,18 @@ func NewEngine(c *Contract) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("contract %q: %w", c.Name, err)
 	}
-	return &Engine{c: c, eval: eval}, nil
+	return &Engine{c: c, eval: eval, columnar: columnar}, nil
 }
 
 // Contract returns the compiled contract.
 func (e *Engine) Contract() *Contract { return e.c }
 
-// Columnar reports whether the engine bills on the columnar fast path
-// (every contract component compiled a kernel).
-func (e *Engine) Columnar() bool { return e.eval.Columnar() }
-
-// SetColumnar switches the engine between the columnar fast path and
-// the legacy per-sample walk, returning the path in effect. Both paths
-// produce byte-identical bills; this is a test and diagnostics hook —
-// do not call it concurrently with billing.
-func (e *Engine) SetColumnar(on bool) bool { return e.eval.SetColumnar(on) }
+// Columnar reports whether every tariff, stacked components included,
+// compiled to a native kernel rather than the per-sample PriceAt
+// scanner (false for a CPP tariff). Every contract bills on the one
+// columnar scan either way; the fleet benchmark reads this bit to split
+// its spec pools, and it goes when CPP gets a native kernel.
+func (e *Engine) Columnar() bool { return e.columnar }
 
 // Bill prices one billing period's load profile.
 func (e *Engine) Bill(load *timeseries.PowerSeries, in BillingInput) (*Bill, error) {

@@ -1,13 +1,13 @@
 package contract
 
-// Columnar kernel for the emergency-DR obligation. The accumulator's
-// per-sample work is a window-coverage test; the scanner compiles the
-// period's declared windows into merged, sorted sample-index spans at
-// Begin, so the scan is a cursor walk over [lo, hi) ranges with no
-// per-sample time arithmetic. The penalty depends only on whether a
-// sample's instant is covered by any window, so merging overlapping
-// windows cannot change the amount; the per-sample cost expression is
-// identical to emergencyAcc.Observe.
+// Columnar kernel for the emergency-DR obligation. Its per-sample work
+// is a window-coverage test; the scanner compiles the period's declared
+// windows into merged, sorted sample-index spans at Begin, so the scan
+// is a cursor walk over [lo, hi) ranges with no per-sample time
+// arithmetic. The penalty depends only on whether a sample's instant is
+// covered by any window, so merging overlapping windows cannot change
+// the amount; the per-sample cost expression is identical to
+// EmergencyObligation.Cost.
 
 import (
 	"strconv"
@@ -21,8 +21,6 @@ import (
 func (o *EmergencyObligation) CompileKernel() billing.Kernel {
 	return &emergencyKernel{ob: o, desc: o.Describe()}
 }
-
-var _ billing.KernelProducer = (*EmergencyObligation)(nil)
 
 type emergencyKernel struct {
 	ob   *EmergencyObligation

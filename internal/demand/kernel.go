@@ -1,12 +1,14 @@
 package demand
 
-// Columnar kernels for the kW branch. Both accumulators in producer.go
-// are already streaming with O(1)/O(N-peaks) state, so their scanners
-// are direct transliterations over contiguous sample chunks: the gain
-// is dropping the per-sample interface call and Sample boxing, plus a
-// fast single-peak loop when no top-N tracker is needed. Arithmetic is
-// kept operation-for-operation identical (same comparisons, same
-// insertion order, same per-excursion rounding).
+// Columnar kernels for the kW branch. Both components need only
+// O(1)/O(N-peaks) state, so their scanners walk contiguous sample
+// chunks directly, with a fast single-peak loop when no top-N tracker
+// is needed. Arithmetic is kept operation-for-operation identical to
+// BilledDemand and Violations/Cost: the N-peak tracker keeps the same
+// (power desc, earlier-index-wins) order TopN sorts by and sums the
+// clamped peaks in that order; the excursion tracker accumulates excess
+// energy per contiguous run and rounds once per excursion, as Cost
+// does.
 
 import (
 	"strconv"
@@ -29,8 +31,6 @@ func (c *Charge) CompileKernel() billing.Kernel {
 	return &chargeKernel{charge: c, desc: c.Describe(), n: n}
 }
 
-var _ billing.KernelProducer = (*Charge)(nil)
-
 type chargeKernel struct {
 	charge *Charge
 	desc   string
@@ -45,8 +45,9 @@ func (k *chargeKernel) NewScanner() billing.Scanner {
 	return s
 }
 
-// chargeScanner is chargeAcc over chunks. The top-N tracker keeps the
-// identical (power desc, index asc) order and tie-breaks.
+// chargeScanner tracks the running peak and, for N-peak averages, the
+// top N samples. top holds up to n entries ordered by (power desc,
+// index asc) — the exact order TopN sorts the whole series by.
 type chargeScanner struct {
 	charge     *Charge
 	desc       string
@@ -93,11 +94,16 @@ func (s *chargeScanner) Scan(samples []units.Power, base int) {
 			s.seen = true
 		}
 		if len(s.top) == s.n {
+			// Full: the new sample displaces the weakest entry only when
+			// it strictly beats it (equal power loses — the earlier index
+			// wins, matching TopN's tie-break).
 			if p <= s.top[s.n-1].power {
 				continue
 			}
 			s.top = s.top[:s.n-1]
 		}
+		// Insert keeping (power desc, index asc): among equal powers the
+		// new sample's larger index places it last.
 		at := len(s.top)
 		for at > 0 && s.top[at-1].power < p {
 			at--
@@ -108,7 +114,7 @@ func (s *chargeScanner) Scan(samples []units.Power, base int) {
 	}
 }
 
-// billed replicates chargeAcc.billed (itself Charge.BilledDemand).
+// billed replicates Charge.BilledDemand on the scanned state.
 func (s *chargeScanner) billed() units.Power {
 	if !s.seen {
 		return 0
@@ -154,8 +160,6 @@ func (b *Powerband) CompileKernel() billing.Kernel {
 	return &bandKernel{band: b, desc: b.Describe()}
 }
 
-var _ billing.KernelProducer = (*Powerband)(nil)
-
 type bandKernel struct {
 	band *Powerband
 	desc string
@@ -165,10 +169,9 @@ func (k *bandKernel) NewScanner() billing.Scanner {
 	return &bandScanner{band: k.band, desc: k.desc}
 }
 
-// bandScanner is bandAcc over chunks: excess energy accumulates per
+// bandScanner mirrors Violations' state: excess energy accumulates per
 // contiguous out-of-band run and rounds once per excursion at flush.
-// Runs straddle chunk and month-block boundaries unflushed, exactly as
-// the sample walk carries them across samples.
+// Runs straddle chunk and month-block boundaries unflushed.
 type bandScanner struct {
 	band *Powerband
 	desc string

@@ -3,17 +3,9 @@ package demand
 // Billing-engine glue: demand charges and powerbands implement
 // billing.LineItemProducer directly, so the kW branch rides the
 // engine's single pass instead of re-scanning the load per component.
-//
-// The accumulators replicate BilledDemand and Violations/Cost
-// arithmetic exactly: the N-peak tracker keeps the same (power desc,
-// earlier-index-wins) order TopN sorts by and sums the clamped peaks in
-// that order; the excursion tracker accumulates excess energy per
-// contiguous run and rounds once per excursion, as Cost does.
+// Their kernels live in kernel.go.
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/billing"
 	"repro/internal/units"
 )
@@ -24,25 +16,8 @@ func (c *Charge) Validate() error {
 	return err
 }
 
-// BeginPeriod returns the charge's streaming accumulator. The billed
-// demand derives from the running peak (single-peak, ratchet) or a
-// bounded top-N tracker (N-peak average); the ratchet floor comes from
-// the period context's historical peak.
-func (c *Charge) BeginPeriod(ctx *billing.PeriodContext, _ time.Duration) billing.Accumulator {
-	a := &chargeAcc{charge: c, historical: ctx.HistoricalPeak}
-	if c.Method == NPeakAverage {
-		n := c.NPeaks
-		if n <= 0 {
-			n = 3
-		}
-		a.top = make([]peakEntry, 0, n)
-		a.n = n
-	}
-	return a
-}
-
-// SpanFamily attributes observation cost to the demand-charge family
-// (the kW branch of the typology) in span traces.
+// SpanFamily attributes scan cost to the demand-charge family (the kW
+// branch of the typology) in span traces.
 func (c *Charge) SpanFamily() string { return "demand" }
 
 var _ billing.LineItemProducer = (*Charge)(nil)
@@ -50,87 +25,6 @@ var _ billing.LineItemProducer = (*Charge)(nil)
 type peakEntry struct {
 	power units.Power
 	index int
-}
-
-type chargeAcc struct {
-	charge     *Charge
-	historical units.Power
-
-	seen bool
-	peak units.Power
-
-	// top holds up to n entries ordered by (power desc, index asc) —
-	// the exact order TopN sorts the whole series by.
-	top []peakEntry
-	n   int
-}
-
-func (a *chargeAcc) Observe(s billing.Sample) {
-	if !a.seen || s.Power > a.peak {
-		a.peak = s.Power
-		a.seen = true
-	}
-	if a.n == 0 {
-		return
-	}
-	if len(a.top) == a.n {
-		// Full: the new sample displaces the weakest entry only when it
-		// strictly beats it (equal power loses — the earlier index wins,
-		// matching TopN's tie-break).
-		if s.Power <= a.top[a.n-1].power {
-			return
-		}
-		a.top = a.top[:a.n-1]
-	}
-	// Insert keeping (power desc, index asc): among equal powers the new
-	// sample's larger index places it last.
-	at := len(a.top)
-	for at > 0 && a.top[at-1].power < s.Power {
-		at--
-	}
-	a.top = append(a.top, peakEntry{})
-	copy(a.top[at+1:], a.top[at:])
-	a.top[at] = peakEntry{power: s.Power, index: s.Index}
-}
-
-// billed replicates Charge.BilledDemand on the accumulated state.
-func (a *chargeAcc) billed() units.Power {
-	if !a.seen {
-		return 0
-	}
-	peak := a.peak
-	if peak < 0 {
-		peak = 0 // net export does not earn negative demand charges
-	}
-	switch a.charge.Method {
-	case SinglePeak:
-		return peak
-	case NPeakAverage:
-		var sum float64
-		for _, e := range a.top {
-			v := float64(e.power)
-			if v < 0 {
-				v = 0
-			}
-			sum += v
-		}
-		return units.Power(sum / float64(len(a.top)))
-	case Ratchet:
-		floor := units.Power(float64(a.historical) * a.charge.RatchetFraction)
-		return units.MaxPower(peak, floor)
-	default:
-		return peak
-	}
-}
-
-func (a *chargeAcc) Lines() []billing.LineItem {
-	billed := a.billed()
-	return []billing.LineItem{{
-		Class:       billing.ClassDemandCharge,
-		Description: a.charge.Describe(),
-		Quantity:    billed.String(),
-		Amount:      a.charge.Price.Cost(billed),
-	}}
 }
 
 // Validate checks the powerband's limits and penalties (the
@@ -145,74 +39,8 @@ func (b *Powerband) Validate() error {
 	return err
 }
 
-// BeginPeriod returns the powerband's streaming excursion tracker,
-// which derives penalty cost and excursion count from one scan.
-func (b *Powerband) BeginPeriod(_ *billing.PeriodContext, interval time.Duration) billing.Accumulator {
-	return &bandAcc{band: b, h: interval.Hours()}
-}
-
-// SpanFamily attributes observation cost to the powerband family in
-// span traces.
+// SpanFamily attributes scan cost to the powerband family in span
+// traces.
 func (b *Powerband) SpanFamily() string { return "powerband" }
 
 var _ billing.LineItemProducer = (*Powerband)(nil)
-
-type bandAcc struct {
-	band *Powerband
-	h    float64
-
-	// Current contiguous out-of-band run, mirroring Violations' state.
-	inRun  bool
-	above  bool
-	excess units.Energy
-
-	count int
-	cost  units.Money
-}
-
-func (a *bandAcc) flush() {
-	if !a.inRun {
-		return
-	}
-	if a.above {
-		a.cost += a.band.OverPenalty.Cost(a.excess)
-	} else {
-		a.cost += a.band.UnderPenalty.Cost(a.excess)
-	}
-	a.count++
-	a.inRun = false
-	a.excess = 0
-}
-
-func (a *bandAcc) Observe(s billing.Sample) {
-	p := s.Power
-	var above bool
-	var excess units.Energy
-	switch {
-	case p > a.band.Upper:
-		above = true
-		excess = units.Energy(float64(p-a.band.Upper) * a.h)
-	case a.band.HasLower && p < a.band.Lower:
-		above = false
-		excess = units.Energy(float64(a.band.Lower-p) * a.h)
-	default:
-		a.flush()
-		return
-	}
-	if !a.inRun || a.above != above {
-		a.flush()
-		a.inRun = true
-		a.above = above
-	}
-	a.excess += excess
-}
-
-func (a *bandAcc) Lines() []billing.LineItem {
-	a.flush()
-	return []billing.LineItem{{
-		Class:       billing.ClassPowerband,
-		Description: a.band.Describe(),
-		Quantity:    fmt.Sprintf("%d excursions", a.count),
-		Amount:      a.cost,
-	}}
-}

@@ -1,10 +1,10 @@
 package tariff
 
-// Columnar kernels for the kWh branch. Each in-package tariff kind
-// compiles to a billing.Kernel whose scanner replicates the matching
-// accumulator's arithmetic exactly (producer.go): a fixed tariff sums
-// energy and rounds once; TOU and dynamic tariffs price and round per
-// sample. The per-sample PriceAt lookup is compiled away:
+// Columnar kernels for the kWh branch. Every tariff compiles to a
+// billing.Kernel whose scanner reproduces the tariff's Cost arithmetic
+// exactly: a fixed tariff sums energy and rounds once; every other kind
+// prices and rounds per sample. For the in-package kinds the per-sample
+// PriceAt lookup is compiled away:
 //
 //   - TOU: the schedule is lowered to a month × day-kind × hour price
 //     cube at compile time (calendar.LabelForSlot guarantees the label
@@ -15,9 +15,9 @@ package tariff
 //   - Dynamic: the feed's slot grid is walked segment-wise with the
 //     same clamping PriceSeries.PriceAt applies at the edges.
 //
-// CPP tariffs (and any other out-of-package Tariff) do not compile:
-// compileTariffKernel returns nil and the evaluator keeps the
-// sample-walk path for the whole contract.
+// CPP tariffs (and any other out-of-package Tariff) have no native
+// kernel: their scanner calls the tariff's own PriceAt at each sample's
+// interval start, inside the same scan (HasNativeKernel).
 
 import (
 	"math"
@@ -32,21 +32,33 @@ import (
 // maxSegEnd marks a price segment that runs to the end of any period.
 const maxSegEnd = int(^uint(0) >> 1)
 
-// CompileKernel compiles the adapted tariff into a columnar kernel, or
-// nil when the tariff (or any stacked component) has no exact kernel.
+// CompileKernel compiles the adapted tariff into a columnar kernel.
 func (p producer) CompileKernel() billing.Kernel {
-	cost := compileCostKernel(p.t)
-	if cost == nil {
-		return nil
-	}
 	return &tariffKernel{
 		class: classFor(p.t.Kind()),
 		desc:  p.t.Describe(),
-		cost:  cost,
+		cost:  compileCostKernel(p.t),
 	}
 }
 
-var _ billing.KernelProducer = producer{}
+// HasNativeKernel reports whether t compiles without the per-sample
+// PriceAt scanner: false when t, or any component stacked in it, is a
+// tariff kind with no native kernel (CPP today).
+func HasNativeKernel(t Tariff) bool {
+	switch tt := t.(type) {
+	case *FixedTariff, *TOUTariff, *DynamicTariff:
+		return true
+	case *Stack:
+		for _, c := range tt.components {
+			if !HasNativeKernel(c) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
+}
 
 // tariffKernel pairs the compiled cost kernel with the precomputed
 // line-item metadata (class and description are period-invariant).
@@ -60,8 +72,8 @@ func (k *tariffKernel) NewScanner() billing.Scanner {
 	return &tariffScanner{class: k.class, desc: k.desc, cost: k.cost.newScanner()}
 }
 
-// tariffScanner mirrors tariffAcc: a running period-energy sum for the
-// quantity column plus the wrapped cost scanner.
+// tariffScanner keeps a running period-energy sum for the quantity
+// column and wraps the cost scanner.
 type tariffScanner struct {
 	class billing.Class
 	desc  string
@@ -97,7 +109,7 @@ func (s *tariffScanner) AppendLines(dst []billing.LineItem) []billing.LineItem {
 	})
 }
 
-// costKernel / costScanner are the columnar twins of costAccumulator.
+// costKernel / costScanner are the columnar form of Tariff.Cost.
 type costKernel interface {
 	newScanner() costScanner
 }
@@ -108,9 +120,9 @@ type costScanner interface {
 	amount() units.Money
 }
 
-// compileCostKernel lowers a tariff's cost arithmetic, mirroring
-// newCostAccumulator's dispatch. Unknown tariff implementations return
-// nil: they have no exact columnar form.
+// compileCostKernel lowers a tariff's cost arithmetic. Tariff
+// implementations without a native kernel are priced per sample
+// through their own PriceAt.
 func compileCostKernel(t Tariff) costKernel {
 	switch tt := t.(type) {
 	case *FixedTariff:
@@ -122,19 +134,15 @@ func compileCostKernel(t Tariff) costKernel {
 	case *Stack:
 		kids := make([]costKernel, len(tt.components))
 		for i, c := range tt.components {
-			k := compileCostKernel(c)
-			if k == nil {
-				return nil
-			}
-			kids[i] = k
+			kids[i] = compileCostKernel(c)
 		}
 		return stackCostKernel{kids: kids}
 	default:
-		return nil
+		return priceAtCostKernel{t: t}
 	}
 }
 
-// fixedCostKernel reproduces fixedAcc: sum energy, price once.
+// fixedCostKernel reproduces FixedTariff.Cost: sum energy, price once.
 type fixedCostKernel struct{ rate units.EnergyPrice }
 
 func (k fixedCostKernel) newScanner() costScanner { return &fixedCostScanner{rate: k.rate} }
@@ -189,7 +197,7 @@ func (k *touCostKernel) newScanner() costScanner {
 	return &touCostScanner{sched: k.sched, cube: &k.cube}
 }
 
-// touCostScanner reproduces priceAtAcc for a TOU tariff: every sample's
+// touCostScanner reproduces costByPriceAt for a TOU tariff: every sample's
 // energy is billed at the slot price of its interval start, rounding
 // per sample. The effective price advances per wall-clock hour segment;
 // each advance re-derives (month, day-kind, hour) from the exact sample
@@ -376,7 +384,7 @@ func (s *touCostScanner) advance(i int) {
 
 func (s *touCostScanner) amount() units.Money { return s.total }
 
-// feedCostKernel reproduces priceAtAcc for a dynamic tariff: the feed
+// feedCostKernel reproduces costByPriceAt for a dynamic tariff: the feed
 // price in effect at each sample's interval start (with PriceAt's edge
 // clamping), marked up, priced and rounded per sample.
 type feedCostKernel struct {
@@ -465,7 +473,7 @@ func (s *feedCostScanner) advance(i int) {
 
 func (s *feedCostScanner) amount() units.Money { return s.total }
 
-// stackCostKernel reproduces stackAcc: each component accumulates
+// stackCostKernel reproduces Stack.Cost: each component accumulates
 // independently and the amounts sum at the end, preserving
 // per-component rounding.
 type stackCostKernel struct{ kids []costKernel }
@@ -499,3 +507,37 @@ func (s *stackCostScanner) amount() units.Money {
 	}
 	return total
 }
+
+// priceAtCostKernel reproduces costByPriceAt for a tariff with no native
+// kernel: each sample's energy is billed at t.PriceAt of its interval
+// start, rounding per sample.
+type priceAtCostKernel struct{ t Tariff }
+
+func (k priceAtCostKernel) newScanner() costScanner { return &priceAtCostScanner{t: k.t} }
+
+type priceAtCostScanner struct {
+	t        Tariff
+	start    time.Time
+	interval time.Duration
+	h        float64
+	total    units.Money
+}
+
+func (s *priceAtCostScanner) begin(start time.Time, interval time.Duration, _ int) {
+	s.start = start
+	s.interval = interval
+	s.h = interval.Hours()
+	s.total = 0
+}
+
+func (s *priceAtCostScanner) scan(samples []units.Power, base int) {
+	h := s.h
+	total := s.total
+	for j, p := range samples {
+		at := s.start.Add(time.Duration(base+j) * s.interval)
+		total += s.t.PriceAt(at).Cost(units.Energy(float64(p) * h))
+	}
+	s.total = total
+}
+
+func (s *priceAtCostScanner) amount() units.Money { return s.total }

@@ -1,25 +1,24 @@
 package tariff
 
 // Billing-engine glue: every Tariff becomes a billing.LineItemProducer
-// whose accumulator reproduces the tariff's Cost method arithmetic
-// exactly — same floating-point operations in the same order — while
-// sharing the engine's single pass over the load series instead of
-// scanning it per component.
+// whose kernel (kernel.go) reproduces the tariff's Cost method
+// arithmetic exactly — same floating-point operations in the same
+// order — while sharing the engine's single pass over the load series
+// instead of scanning it per component.
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/billing"
-	"repro/internal/units"
 )
 
 // Producer adapts a tariff into a billing.LineItemProducer. Known
-// in-package kinds get exact-arithmetic streaming accumulators (a fixed
-// tariff prices total energy once; stacks keep per-component partial
-// sums so rounding matches Stack.Cost); any other Tariff implementation
-// falls back to the per-sample PriceAt accumulation that costByPriceAt
-// performs.
+// in-package kinds compile to native kernels (a fixed tariff prices
+// total energy once; TOU and dynamic tariffs price per sample from a
+// precomputed price segment; stacks keep per-component partial sums so
+// rounding matches Stack.Cost); any other Tariff implementation, CPP
+// included, is priced per sample through its own PriceAt inside the
+// same scan, as costByPriceAt does.
 func Producer(t Tariff) billing.LineItemProducer {
 	return producer{t: t}
 }
@@ -35,17 +34,9 @@ func (p producer) Validate() error {
 
 func (p producer) Describe() string { return p.t.Describe() }
 
-// SpanFamily attributes observation cost to the tariff family (the kWh
+// SpanFamily attributes scan cost to the tariff family (the kWh
 // branch of the typology) in span traces.
 func (p producer) SpanFamily() string { return "tariff" }
-
-func (p producer) BeginPeriod(_ *billing.PeriodContext, interval time.Duration) billing.Accumulator {
-	return &tariffAcc{
-		t:     p.t,
-		class: classFor(p.t.Kind()),
-		cost:  newCostAccumulator(p.t),
-	}
-}
 
 func classFor(k Kind) billing.Class {
 	switch k {
@@ -56,95 +47,4 @@ func classFor(k Kind) billing.Class {
 	default:
 		return billing.ClassFixedTariff
 	}
-}
-
-// tariffAcc wraps a cost accumulator and tracks the period energy for
-// the line's quantity column.
-type tariffAcc struct {
-	t     Tariff
-	class billing.Class
-	cost  costAccumulator
-	kwh   float64
-}
-
-func (a *tariffAcc) Observe(s billing.Sample) {
-	a.kwh += float64(s.Energy)
-	a.cost.observe(s)
-}
-
-func (a *tariffAcc) Lines() []billing.LineItem {
-	return []billing.LineItem{{
-		Class:       a.class,
-		Description: a.t.Describe(),
-		Quantity:    units.Energy(a.kwh).String(),
-		Amount:      a.cost.amount(),
-	}}
-}
-
-// costAccumulator is the streaming counterpart of Tariff.Cost: observe
-// every sample once, then read the period amount.
-type costAccumulator interface {
-	observe(s billing.Sample)
-	amount() units.Money
-}
-
-func newCostAccumulator(t Tariff) costAccumulator {
-	switch tt := t.(type) {
-	case *FixedTariff:
-		return &fixedAcc{rate: tt.Rate}
-	case *Stack:
-		kids := make([]costAccumulator, len(tt.components))
-		for i, c := range tt.components {
-			kids[i] = newCostAccumulator(c)
-		}
-		return &stackAcc{kids: kids}
-	default:
-		return &priceAtAcc{t: t}
-	}
-}
-
-// fixedAcc reproduces FixedTariff.Cost: the flat rate prices the
-// period's total energy with a single rounding.
-type fixedAcc struct {
-	rate units.EnergyPrice
-	kwh  float64
-}
-
-func (a *fixedAcc) observe(s billing.Sample) { a.kwh += float64(s.Energy) }
-
-func (a *fixedAcc) amount() units.Money { return a.rate.Cost(units.Energy(a.kwh)) }
-
-// priceAtAcc reproduces costByPriceAt: each sample's energy is billed
-// at the price in effect at the sample's interval start, rounding per
-// sample.
-type priceAtAcc struct {
-	t     Tariff
-	total units.Money
-}
-
-func (a *priceAtAcc) observe(s billing.Sample) {
-	a.total += a.t.PriceAt(s.Time).Cost(s.Energy)
-}
-
-func (a *priceAtAcc) amount() units.Money { return a.total }
-
-// stackAcc reproduces Stack.Cost: each stacked component accumulates
-// independently and the amounts sum at the end, so per-component
-// rounding matches the standalone path.
-type stackAcc struct {
-	kids []costAccumulator
-}
-
-func (a *stackAcc) observe(s billing.Sample) {
-	for _, k := range a.kids {
-		k.observe(s)
-	}
-}
-
-func (a *stackAcc) amount() units.Money {
-	var total units.Money
-	for _, k := range a.kids {
-		total += k.amount()
-	}
-	return total
 }

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/billing"
 	"repro/internal/calendar"
 	"repro/internal/timeseries"
 	"repro/internal/units"
@@ -84,22 +83,15 @@ type Tariff interface {
 	Describe() string
 }
 
-// costByPriceAt bills every sample at PriceAt of its interval start.
-// It drives the same streaming accumulator the billing engine uses
-// (producer.go), so standalone Cost calls and engine passes share one
-// integration loop.
+// costByPriceAt bills every sample at PriceAt of its interval start,
+// rounding per sample.
 func costByPriceAt(t Tariff, load *timeseries.PowerSeries) units.Money {
-	acc := priceAtAcc{t: t}
+	var total units.Money
 	h := load.Interval().Hours()
 	for i := 0; i < load.Len(); i++ {
-		acc.observe(billing.Sample{
-			Index:  i,
-			Time:   load.TimeAt(i),
-			Power:  load.At(i),
-			Energy: units.Energy(float64(load.At(i)) * h),
-		})
+		total += t.PriceAt(load.TimeAt(i)).Cost(units.Energy(float64(load.At(i)) * h))
 	}
-	return acc.amount()
+	return total
 }
 
 // FixedTariff is a single constant price per kWh.
