@@ -367,9 +367,9 @@ func BenchmarkBillYearEngine(b *testing.B) {
 }
 
 // BenchmarkBillYearCPP is BenchmarkBillYearEngine with the fixed tariff
-// wrapped in a CPP tariff declaring twenty summer-afternoon events. CPP
-// has no native kernel, so each sample of that tariff is priced through
-// CPPTariff.PriceAt inside the engine's scan.
+// wrapped in a CPP tariff declaring twenty summer-afternoon events, so
+// the tariff bills along the CPP price walk: the critical rate over
+// each event's sample span, the fixed rate between them.
 func BenchmarkBillYearCPP(b *testing.B) {
 	c, load := benchYearContract(b)
 	cpp, err := tariff.NewCPP(c.Tariffs[0], 0.45, 0)

@@ -114,9 +114,9 @@ type LineItem struct {
 	Amount units.Money
 }
 
-// Window is a half-open [Start, End) wall-clock interval, used to carry
-// declared emergency events into the engine without depending on the
-// contract layer.
+// Window is a half-open [Start, End) wall-clock interval: a declared
+// emergency event carried into the engine without depending on the
+// contract layer, or a CPP tariff's critical window.
 type Window struct {
 	Start time.Time
 	End   time.Time

@@ -149,6 +149,54 @@ func TestColumnarScannerReuse(t *testing.T) {
 	}
 }
 
+// TestAppendSpans holds the window-to-span builder to a per-sample
+// reference: a sample lies in a span exactly when some window Covers
+// its instant, the spans come out sorted and merged, and a non-empty
+// dst keeps its elements. The windows overlap, touch, arrive out of
+// order, lie before and past the period or straddle its edges, are
+// narrower than one interval, or end centuries after the period
+// starts, where time.Time.Sub saturates.
+func TestAppendSpans(t *testing.T) {
+	h := time.Hour
+	for _, iv := range []time.Duration{15 * time.Minute, 7 * time.Minute, 90 * time.Minute} {
+		n := int(3 * 24 * h / iv)
+		end := t0.Add(time.Duration(n) * iv)
+		windows := []Window{
+			{t0.Add(4 * h), t0.Add(7 * h)},
+			{t0.Add(2 * h), t0.Add(5 * h)},
+			{t0.Add(10 * h), t0.Add(11 * h)},
+			{t0.Add(11 * h), t0.Add(12*h + 1)},
+			{t0.Add(-5 * h), t0.Add(-h)},
+			{end.Add(-h), end.Add(2 * h)},
+			{end.Add(h), end.Add(3 * h)},
+			{t0.Add(30*h + time.Minute), t0.Add(30*h + 2*time.Minute)},
+			{t0.Add(31 * h), t0.Add(31*h + 1)},
+			{t0.Add(40 * h), t0.AddDate(300, 0, 0)},
+			{t0.AddDate(-300, 0, 0), t0.Add(h)},
+		}
+		var want []Span
+		for i := 0; i < n; i++ {
+			at := t0.Add(time.Duration(i) * iv)
+			covered := false
+			for _, w := range windows {
+				covered = covered || w.Covers(at)
+			}
+			switch {
+			case !covered:
+			case len(want) > 0 && want[len(want)-1].Hi == i:
+				want[len(want)-1].Hi++
+			default:
+				want = append(want, Span{Lo: i, Hi: i + 1})
+			}
+		}
+		kept := Span{Lo: -3, Hi: -1}
+		got := AppendSpans([]Span{kept}, windows, t0, iv, n)
+		if got[0] != kept || !reflect.DeepEqual(got[1:], want) {
+			t.Errorf("interval %v: spans %v, want %v after %v", iv, got, want, kept)
+		}
+	}
+}
+
 // TestCeilIndex pins the duration-to-index ceiling conversion.
 func TestCeilIndex(t *testing.T) {
 	cases := []struct {

@@ -66,63 +66,63 @@ func (e *Evaluator) EvaluateMonths(load *timeseries.PowerSeries, ctx PeriodConte
 	endPrescan()
 
 	// Phase 2: evaluate months on the pool, into one result slab.
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(months) {
-		workers = len(months)
-	}
-
 	slab := make([]Result, len(months))
 	results := make([]*Result, len(months))
-	errs := make([]error, len(months))
-	evalOne := func(i int) {
+	errs := ForEach(cctx, len(months), opts.Workers, func(i int) error {
 		mctx := ctx
 		mctx.HistoricalPeak = hist[i]
-		errs[i] = e.evaluatePeriodInto(cctx, &months[i], mctx, &slab[i])
 		results[i] = &slab[i]
-	}
-
-	if workers <= 1 {
-		for i := range months {
-			if err := cctx.Err(); err != nil {
-				return nil, err
-			}
-			evalOne(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					// A cancelled context drains the remaining
-					// months without evaluating them; the per-month
-					// error slot records why.
-					if err := cctx.Err(); err != nil {
-						errs[i] = err
-						continue
-					}
-					evalOne(i)
-				}
-			}()
-		}
-		for i := range months {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-
+		return e.evaluatePeriodInto(cctx, &months[i], mctx, &slab[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return results, nil
+}
+
+// ForEach calls fn(i) for every i in [0, n) on a pool of at most
+// workers goroutines (<= 0 selects GOMAXPROCS; 1 runs the indexes in
+// order on the caller's goroutine) and returns each call's error in
+// index order. Once ctx is done, an index not yet started is not run:
+// its error is ctx.Err().
+func ForEach(ctx context.Context, n, workers int, fn func(i int) error) []error {
+	errs := make([]error, n)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers <= 1 {
+		for i := range n {
+			errs[i] = callIndex(ctx, fn, i)
+		}
+		return errs
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				errs[i] = callIndex(ctx, fn, i)
+			}
+		}()
+	}
+	for i := range n {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return errs
+}
+
+// callIndex is fn(i), or ctx.Err() without the call once ctx is done.
+func callIndex(ctx context.Context, fn func(i int) error, i int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return fn(i)
 }
 
 // enteringPeaks sets hist[i] to the historical peak entering month i —

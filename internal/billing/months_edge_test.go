@@ -7,6 +7,8 @@ package billing
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,5 +135,58 @@ func TestEvaluatePeriodCtxDeadline(t *testing.T) {
 	e, _ := NewEvaluator(&probe{name: "p"})
 	if _, err := e.EvaluatePeriodCtx(ctx, series(1000, 2000), PeriodContext{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want DeadlineExceeded", err)
+	}
+}
+
+// TestForEach pins the index pool EvaluateMonths and contract.BillBatch
+// share: every index runs once and its error lands in its own slot, on
+// one worker and on several; once the context is done no index starts,
+// and each one left records ctx.Err().
+func TestForEach(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 64} {
+		var ran [10]atomic.Int32
+		errs := ForEach(context.Background(), len(ran), workers, func(i int) error {
+			ran[i].Add(1)
+			if i%3 == 0 {
+				return fmt.Errorf("item %d", i)
+			}
+			return nil
+		})
+		for i := range ran {
+			if n := ran[i].Load(); n != 1 {
+				t.Errorf("workers %d: index %d ran %d times", workers, i, n)
+			}
+			if got := fmt.Sprint(errs[i]); (i%3 == 0) != (errs[i] != nil) || (errs[i] != nil && got != fmt.Sprintf("item %d", i)) {
+				t.Errorf("workers %d: index %d error %v", workers, i, errs[i])
+			}
+		}
+	}
+
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 3} {
+		errs := ForEach(done, 5, workers, func(i int) error {
+			t.Errorf("workers %d: index %d ran after cancel", workers, i)
+			return nil
+		})
+		for i, err := range errs {
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("workers %d: index %d error %v, want context.Canceled", workers, i, err)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := ForEach(ctx, 5, 1, func(i int) error {
+		if i == 2 {
+			cancel()
+		}
+		return nil
+	})
+	for i, err := range errs {
+		if want := i > 2; errors.Is(err, context.Canceled) != want || (!want && err != nil) {
+			t.Errorf("cancelled at index 2: index %d error %v", i, err)
+		}
 	}
 }

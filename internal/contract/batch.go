@@ -1,9 +1,9 @@
 package contract
 
 // Batch billing: N (engine, load) pairs evaluated as one unit of work.
-// The fan-out mirrors the billing engine's month pool — a bounded
-// worker pool fed by an index channel, results in input order, errors
-// isolated per item so one bad contract cannot poison the batch. The
+// The fan-out is the billing engine's month pool (billing.ForEach):
+// results in input order, errors isolated per item so one bad contract
+// cannot poison the batch. The
 // serve layer and scbill -batch both sit on top of this; each item's
 // bill is exactly what Bill/BillMonths would have produced for that
 // pair, so batching is a pure amortization (parse and compile once,
@@ -12,9 +12,8 @@ package contract
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sync"
 
+	"repro/internal/billing"
 	"repro/internal/timeseries"
 )
 
@@ -52,63 +51,24 @@ type BatchOptions struct {
 // report the context's error. Item failures do not abort the batch.
 func BillBatch(ctx context.Context, items []BatchItem, in BillingInput, opts BatchOptions) []BatchOutcome {
 	out := make([]BatchOutcome, len(items))
-	if len(items) == 0 {
-		return out
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-
-	evalOne := func(i int) {
+	errs := billing.ForEach(ctx, len(items), opts.Workers, func(i int) error {
 		it := items[i]
 		if it.Engine == nil {
-			out[i].Err = errors.New("contract: batch item has no engine")
-			return
+			return errors.New("contract: batch item has no engine")
 		}
+		var err error
 		if opts.Monthly {
-			out[i].Months, out[i].Err = it.Engine.BillMonthsCtx(ctx, it.Load, in, opts.MonthWorkers)
+			out[i].Months, err = it.Engine.BillMonthsCtx(ctx, it.Load, in, opts.MonthWorkers)
 		} else {
-			out[i].Bill, out[i].Err = it.Engine.BillCtx(ctx, it.Load, in)
+			out[i].Bill, err = it.Engine.BillCtx(ctx, it.Load, in)
 		}
+		return err
+	})
+	for i, err := range errs {
+		out[i].Err = err
 	}
-
-	if workers <= 1 {
-		for i := range items {
-			if err := ctx.Err(); err != nil {
-				out[i].Err = err
-				continue
-			}
-			evalOne(i)
-		}
-		return out
-	}
-
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					out[i].Err = err
-					continue
-				}
-				evalOne(i)
-			}
-		}()
-	}
-	for i := range items {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 	return out
 }

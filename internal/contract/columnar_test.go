@@ -23,7 +23,7 @@ import (
 // assertColumnarMatchesLegacy bills the case on the engine and on the
 // legacy multi-pass path and requires identical bills, single period
 // and monthly. columnar is the Engine.Columnar the contract must report:
-// false exactly when some tariff has no native kernel.
+// false exactly when some tariff is, or stacks, a CPP tariff.
 func assertColumnarMatchesLegacy(t *testing.T, name string, c *Contract, load *timeseries.PowerSeries, in BillingInput, columnar bool) {
 	t.Helper()
 	eng, err := NewEngine(c)
@@ -101,12 +101,12 @@ func columnarContract(t *testing.T, feedStart time.Time, feedLen int) *Contract 
 	}
 }
 
-// columnarCPPContract is columnarContract plus two CPP tariffs, which
-// have no native kernel and are priced per sample through PriceAt
-// inside the scan: one over a TOU base, with windows across the first
-// month edge after start and across both 2016 DST days in Europe/Zurich
-// (start's zone without tzdata), and one stacked next to a native fixed
-// component.
+// columnarCPPContract is columnarContract plus three CPP tariffs,
+// priced per sample along the CPP walk: one over a TOU base, with
+// windows across the first month edge after start and across both 2016
+// DST days in Europe/Zurich (start's zone without tzdata), one stacked
+// next to a fixed component, and one over a stack of fixed and dynamic
+// components, whose base is priced through its own PriceAt.
 func columnarCPPContract(t *testing.T, start, feedStart time.Time, feedLen int) *Contract {
 	t.Helper()
 	c := columnarContract(t, feedStart, feedLen)
@@ -138,6 +138,7 @@ func columnarCPPContract(t *testing.T, start, feedStart time.Time, feedLen int) 
 	c.Tariffs = append(c.Tariffs,
 		cpp(c.Tariffs[1], 0.62, windows),
 		tariff.MustNewStack(tariff.MustNewFixed(0.019), cpp(tariff.MustNewFixed(0.013), 0.3, windows[1:])),
+		cpp(c.Tariffs[3], 0.4, windows[:3]),
 	)
 	return c
 }
@@ -207,9 +208,21 @@ func TestColumnarEquivalenceZurichDST(t *testing.T) {
 	}
 }
 
-// TestColumnarFallsBackOnCPP: a CPP tariff has no native kernel, so
-// Columnar() reports false, and the engine still bills it identically
-// to the legacy path.
+// TestColumnarEmergencyEndingCenturiesOut: an event that starts 20
+// days into the load and lasts time.Duration's maximum (about what the
+// largest duration_minutes an EventSpec can carry gives) ends more than
+// 292 years after the load's start, where time.Time.Sub saturates; the
+// engine must still cover its samples as the legacy path does.
+func TestColumnarEmergencyEndingCenturiesOut(t *testing.T) {
+	start := time.Date(2016, time.January, 1, 0, 0, 0, 0, time.UTC)
+	load := columnarLoad(start, 15*time.Minute, 62*96)
+	in := BillingInput{Events: []EmergencyEvent{{Start: start.Add(20 * 24 * time.Hour), Duration: math.MaxInt64}}}
+	assertColumnarMatchesLegacy(t, "far-emergency", columnarContract(t, start, 400), load, in, true)
+}
+
+// TestColumnarFallsBackOnCPP: a CPP contract reports Columnar() false,
+// the bit the fleet benchmark splits its spec pools by, and the engine
+// bills it identically to the legacy path.
 func TestColumnarFallsBackOnCPP(t *testing.T) {
 	cpp, err := tariff.NewCPP(tariff.MustNewFixed(0.05), 0.75, 4)
 	if err != nil {

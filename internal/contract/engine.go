@@ -6,14 +6,16 @@ package contract
 // adapter, demand charges, powerbands and emergency obligations
 // directly (they implement the interface), fees as billing.FlatFee —
 // validates the lot once and compiles each into a columnar kernel.
-// Evaluation then scans each billing period's load series exactly
-// once, regardless of how many components the contract has, and
-// calendar months evaluate concurrently.
+// Every tariff priced per sample, CPP included, compiles to the tariff
+// package's one price walk. Evaluation then scans each billing
+// period's load series exactly once, regardless of how many components
+// the contract has, and calendar months evaluate concurrently.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/billing"
 	"repro/internal/obs"
@@ -42,7 +44,7 @@ func NewEngine(c *Contract) (*Engine, error) {
 	columnar := true
 	for _, t := range c.Tariffs {
 		producers = append(producers, tariff.Producer(t))
-		columnar = columnar && tariff.HasNativeKernel(t)
+		columnar = columnar && !stacksCPP(t)
 	}
 	for _, dc := range c.DemandCharges {
 		producers = append(producers, dc)
@@ -66,12 +68,22 @@ func NewEngine(c *Contract) (*Engine, error) {
 // Contract returns the compiled contract.
 func (e *Engine) Contract() *Contract { return e.c }
 
-// Columnar reports whether every tariff, stacked components included,
-// compiled to a native kernel rather than the per-sample PriceAt
-// scanner (false for a CPP tariff). Every contract bills on the one
-// columnar scan either way; the fleet benchmark reads this bit to split
-// its spec pools, and it goes when CPP gets a native kernel.
+// Columnar reports whether no tariff is, or stacks, a CPP tariff.
+// Every contract bills on the same columnar scan and the same price
+// walk either way; the fleet benchmark reads this bit to split its spec
+// pools, and it goes when the benchmark stops reading it.
 func (e *Engine) Columnar() bool { return e.columnar }
+
+// stacksCPP reports whether t is, or stacks, a CPP tariff.
+func stacksCPP(t tariff.Tariff) bool {
+	switch tt := t.(type) {
+	case *tariff.CPPTariff:
+		return true
+	case *tariff.Stack:
+		return slices.ContainsFunc(tt.Components(), stacksCPP)
+	}
+	return false
+}
 
 // Bill prices one billing period's load profile.
 func (e *Engine) Bill(load *timeseries.PowerSeries, in BillingInput) (*Bill, error) {

@@ -51,8 +51,9 @@ type Config struct {
 	// Profiles is the load mix, drawn uniformly; empty selects
 	// quickstart-month. Names must be scserved named profiles.
 	Profiles []string
-	// BatchFraction of requests go to /v1/bill/batch (one contract ×
-	// BatchItems loads); the rest are single /v1/bill calls.
+	// BatchFraction of requests go to /v1/bill/batch (BatchItems
+	// consecutive specs of the cycle × one load); the rest are single
+	// /v1/bill calls.
 	BatchFraction float64
 	// BatchItems is the loads-per-batch size; <= 0 selects 8.
 	BatchItems int
@@ -257,7 +258,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			defer inflight.Add(-1)
-			rec := fire(ctx, cfg, d, specs[d.spec], start)
+			rec := fire(ctx, cfg, d, specs, start)
 			rep.observe(d.endpoint, rec)
 			if enc != nil {
 				encMu.Lock()
@@ -300,7 +301,7 @@ func fireEvent(ctx context.Context, client *http.Client, ev ScheduledEvent) {
 }
 
 // fire sends one request and classifies the outcome.
-func fire(ctx context.Context, cfg Config, d descriptor, spec []byte, start time.Time) record {
+func fire(ctx context.Context, cfg Config, d descriptor, specs [][]byte, start time.Time) record {
 	rec := record{
 		Seq:      d.seq,
 		OffsetMS: float64(time.Since(start)) / float64(time.Millisecond),
@@ -309,7 +310,7 @@ func fire(ctx context.Context, cfg Config, d descriptor, spec []byte, start time
 		Profile:  d.profile,
 	}
 
-	body, err := requestBody(d, spec, cfg.BatchItems)
+	body, err := requestBody(d, specs, cfg.BatchItems)
 	if err != nil {
 		rec.Error = err.Error()
 		return rec
@@ -346,27 +347,30 @@ const (
 	originRouter = "router"
 )
 
-// requestBody renders the JSON body for one descriptor.
-func requestBody(d descriptor, spec []byte, batchItems int) ([]byte, error) {
+// requestBody renders the JSON body for one descriptor. A batch bills
+// the descriptor's profile against batchItems consecutive specs of the
+// cycle, starting at its own, so its items are distinct (spec, load)
+// pairs whenever the cycle is that long: the backend bills a repeated
+// pair once, and a batch of copies would cost about one bill.
+func requestBody(d descriptor, specs [][]byte, batchItems int) ([]byte, error) {
 	type loadSpec struct {
 		Profile string `json:"profile"`
 	}
-	switch d.endpoint {
-	case "/v1/bill/batch":
-		loads := make([]loadSpec, batchItems)
-		for i := range loads {
-			loads[i] = loadSpec{Profile: d.profile}
-		}
-		return json.Marshal(struct {
-			Contract json.RawMessage `json:"contract"`
-			Loads    []loadSpec      `json:"loads"`
-		}{spec, loads})
-	default:
+	load := loadSpec{Profile: d.profile}
+	if d.endpoint != "/v1/bill/batch" {
 		return json.Marshal(struct {
 			Contract json.RawMessage `json:"contract"`
 			Load     loadSpec        `json:"load"`
-		}{spec, loadSpec{Profile: d.profile}})
+		}{specs[d.spec], load})
 	}
+	contracts := make([]json.RawMessage, batchItems)
+	for i := range contracts {
+		contracts[i] = specs[(d.spec+i)%len(specs)]
+	}
+	return json.Marshal(struct {
+		Contracts []json.RawMessage `json:"contracts"`
+		Load      loadSpec          `json:"load"`
+	}{contracts, load})
 }
 
 // EndpointStats aggregates one endpoint's outcomes.

@@ -220,3 +220,49 @@ func TestCancelMidRunReturnsPromptly(t *testing.T) {
 		t.Fatalf("Run took %s to notice the cancel", elapsed)
 	}
 }
+
+// TestBatchBodyBillsDistinctPairs: a batch body names batchItems
+// distinct specs, consecutive in the cycle from the descriptor's own,
+// against its one profile, so the backend's batch dedupe cannot fold
+// it into a single bill; a cycle shorter than the batch wraps around.
+func TestBatchBodyBillsDistinctPairs(t *testing.T) {
+	specs := make([][]byte, 96)
+	for i := range specs {
+		raw, err := SpecBody(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[i] = raw
+	}
+	for _, c := range []struct{ nspecs, spec, items, distinct int }{
+		{96, 40, 64, 64},
+		{96, 90, 64, 64},
+		{8, 3, 16, 8},
+	} {
+		d := descriptor{endpoint: "/v1/bill/batch", spec: c.spec, profile: "year-in-life"}
+		body, err := requestBody(d, specs[:c.nspecs], c.items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req serve.BatchRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		if len(req.Contract) != 0 || len(req.Loads) != 0 || req.Load == nil || req.Load.Profile != "year-in-life" {
+			t.Fatalf("batch body is not N contracts x one load: %s", body)
+		}
+		if len(req.Contracts) != c.items {
+			t.Fatalf("%d contracts, want %d", len(req.Contracts), c.items)
+		}
+		seen := make(map[string]bool)
+		for i, raw := range req.Contracts {
+			if want := specs[(c.spec+i)%c.nspecs]; !bytes.Equal(raw, want) {
+				t.Fatalf("contract %d is not spec %d of the cycle", i, (c.spec+i)%c.nspecs)
+			}
+			seen[string(raw)] = true
+		}
+		if len(seen) != c.distinct {
+			t.Errorf("%d distinct specs in a batch of %d from a cycle of %d, want %d", len(seen), c.items, c.nspecs, c.distinct)
+		}
+	}
+}

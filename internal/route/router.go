@@ -62,10 +62,9 @@ import (
 	"repro/internal/wire"
 )
 
-// DeadlineHeader carries the remaining request budget downstream in
-// integer milliseconds. The router stamps it on every forward;
-// internal/serve parses it into the request context.
-const DeadlineHeader = "X-SCBill-Deadline-Ms"
+// DeadlineHeader is wire.DeadlineHeader, the remaining request budget
+// the router stamps on every forward.
+const DeadlineHeader = wire.DeadlineHeader
 
 // OriginHeader labels error responses with the layer that produced
 // them, so load harness assertions can target the right one: "router"
@@ -482,7 +481,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	// touching a backend — there is no point starting work the caller
 	// has already abandoned.
 	budget := rt.cfg.RequestTimeout
-	if ms, ok := incomingDeadline(r.Header); ok {
+	if ms, ok := wire.Deadline(r.Header); ok {
 		if ms <= 0 {
 			rt.metrics.deadlineExpired.Add(1)
 			rt.metrics.observeRequest(r.URL.Path, http.StatusGatewayTimeout)
@@ -672,19 +671,6 @@ func settle(at *attempt) {
 	}
 	at.done(ok)
 	at.cancel()
-}
-
-// incomingDeadline parses the client's X-SCBill-Deadline-Ms header.
-func incomingDeadline(h http.Header) (ms int64, ok bool) {
-	v := h.Get(DeadlineHeader)
-	if v == "" {
-		return 0, false
-	}
-	ms, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return ms, true
 }
 
 // buildForward constructs the request to one backend: the client's

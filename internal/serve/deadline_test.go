@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 func postBillWithDeadline(t *testing.T, ts *httptest.Server, deadlineMS string) (*http.Response, []byte) {
@@ -31,7 +33,7 @@ func postBillWithDeadline(t *testing.T, ts *httptest.Server, deadlineMS string) 
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if deadlineMS != "" {
-		req.Header.Set(deadlineHeader, deadlineMS)
+		req.Header.Set(wire.DeadlineHeader, deadlineMS)
 	}
 	resp, err := ts.Client().Do(req)
 	if err != nil {

@@ -50,7 +50,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -244,26 +243,15 @@ func (s *Server) endRequest() {
 	s.mu.Unlock()
 }
 
-// deadlineHeader is the propagated request budget, in integer
-// milliseconds, stamped by scroute on every forward. Parsing it into
-// the request context means a backend stops evaluating bills the
-// caller has already abandoned, and its 504s report the budget it was
-// actually given rather than the configured default.
-const deadlineHeader = "X-SCBill-Deadline-Ms"
-
 // requestBudget resolves the effective deadline for one gated request:
 // the configured RequestTimeout, tightened by a propagated
 // X-SCBill-Deadline-Ms when one is present. expired reports a budget
 // already spent on arrival (<= 0 ms), which short-circuits to 504.
 func (s *Server) requestBudget(r *http.Request) (budget time.Duration, propagated, expired bool) {
-	v := r.Header.Get(deadlineHeader)
 	budget = s.cfg.RequestTimeout
-	if v == "" {
-		return budget, false, false
-	}
-	ms, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-	if err != nil {
-		return budget, false, false // unparseable: ignore, keep the default
+	ms, ok := wire.Deadline(r.Header)
+	if !ok {
+		return budget, false, false // absent or unparseable: keep the default
 	}
 	if ms <= 0 {
 		return 0, true, true

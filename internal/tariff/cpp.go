@@ -11,20 +11,15 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/billing"
 	"repro/internal/timeseries"
 	"repro/internal/units"
 )
 
-// CriticalWindow is one declared critical-peak event.
-type CriticalWindow struct {
-	Start time.Time
-	End   time.Time
-}
-
-// Covers reports whether t falls inside the window.
-func (w CriticalWindow) Covers(t time.Time) bool {
-	return !t.Before(w.Start) && t.Before(w.End)
-}
+// CriticalWindow is one declared critical-peak event: a half-open
+// [Start, End) interval, the engine's window type, so the CPP kernel
+// turns windows into sample spans the way the emergency kernel does.
+type CriticalWindow = billing.Window
 
 // CPPTariff layers a critical rate over a base tariff during declared
 // windows. It classifies as Dynamic: the windows are announced by

@@ -3,21 +3,27 @@ package tariff
 // Columnar kernels for the kWh branch. Every tariff compiles to a
 // billing.Kernel whose scanner reproduces the tariff's Cost arithmetic
 // exactly: a fixed tariff sums energy and rounds once; every other kind
-// prices and rounds per sample. For the in-package kinds the per-sample
-// PriceAt lookup is compiled away:
+// prices and rounds per sample. Those share one loop, walkCostScanner,
+// over a priceWalk: a walk names the price of a sample and the first
+// later sample where it may change, so the loop prices a segment at a
+// time with no per-sample lookup. The walks:
 //
-//   - TOU: the schedule is lowered to a month × day-kind × hour price
-//     cube at compile time (calendar.LabelForSlot guarantees the label
-//     is a pure function of that triple), and the scanner advances the
-//     effective price once per wall-clock hour segment instead of per
-//     sample, finding each segment by integer arithmetic wherever the
-//     zone's offset is constant (advanceFast).
-//   - Dynamic: the feed's slot grid is walked segment-wise with the
-//     same clamping PriceSeries.PriceAt applies at the edges.
-//
-// CPP tariffs (and any other out-of-package Tariff) have no native
-// kernel: their scanner calls the tariff's own PriceAt at each sample's
-// interval start, inside the same scan (HasNativeKernel).
+//   - TOU (touWalk): the schedule is lowered to a month × day-kind ×
+//     hour price cube at compile time (calendar.LabelForSlot
+//     guarantees the label is a pure function of that triple), and
+//     segments are wall-clock hours, found by integer arithmetic
+//     wherever the zone's offset is constant (advanceFast).
+//   - Dynamic (feedWalk): the feed's slot grid, with the same clamping
+//     PriceSeries.PriceAt applies at the edges.
+//   - CPP (cppWalk): the declared windows become merged sample-index
+//     spans at each period's start (billing.AppendSpans, which the
+//     emergency kernel builds its spans with too). Inside a span the
+//     critical rate holds to the span's end; outside, the base
+//     tariff's walk runs, its segments cut at the next span's start.
+//   - Fixed under a CPP (constWalk): one segment for the period.
+//   - A Stack under a CPP, or any out-of-package Tariff (priceAtWalk):
+//     the tariff's own PriceAt at each sample's interval start, one
+//     sample per segment.
 
 import (
 	"math"
@@ -41,25 +47,6 @@ func (p producer) CompileKernel() billing.Kernel {
 	}
 }
 
-// HasNativeKernel reports whether t compiles without the per-sample
-// PriceAt scanner: false when t, or any component stacked in it, is a
-// tariff kind with no native kernel (CPP today).
-func HasNativeKernel(t Tariff) bool {
-	switch tt := t.(type) {
-	case *FixedTariff, *TOUTariff, *DynamicTariff:
-		return true
-	case *Stack:
-		for _, c := range tt.components {
-			if !HasNativeKernel(c) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
 // tariffKernel pairs the compiled cost kernel with the precomputed
 // line-item metadata (class and description are period-invariant).
 type tariffKernel struct {
@@ -69,7 +56,7 @@ type tariffKernel struct {
 }
 
 func (k *tariffKernel) NewScanner() billing.Scanner {
-	return &tariffScanner{class: k.class, desc: k.desc, cost: k.cost.newScanner()}
+	return &tariffScanner{class: k.class, desc: k.desc, cost: k.cost()}
 }
 
 // tariffScanner keeps a running period-energy sum for the quantity
@@ -105,112 +92,182 @@ func (s *tariffScanner) AppendLines(dst []billing.LineItem) []billing.LineItem {
 		Class:       s.class,
 		Description: s.desc,
 		Quantity:    string(s.buf),
-		Amount:      s.cost.amount(),
+		Amount:      s.cost.amount(s.kwh),
 	})
 }
 
-// costKernel / costScanner are the columnar form of Tariff.Cost.
-type costKernel interface {
-	newScanner() costScanner
-}
+// costKernel makes the per-period scanners of one compiled tariff: the
+// columnar form of Tariff.Cost.
+type costKernel func() costScanner
 
+// costScanner prices one period. amount receives the period's energy
+// as tariffScanner summed it.
 type costScanner interface {
 	begin(start time.Time, interval time.Duration, n int)
 	scan(samples []units.Power, base int)
-	amount() units.Money
+	amount(kwh float64) units.Money
 }
 
-// compileCostKernel lowers a tariff's cost arithmetic. Tariff
-// implementations without a native kernel are priced per sample
-// through their own PriceAt.
+// compileCostKernel lowers a tariff's cost arithmetic: a fixed tariff
+// prices the period's energy once, a stack sums its components'
+// amounts (preserving per-component rounding, as Stack.Cost does), and
+// every other tariff is priced per sample along its walk.
 func compileCostKernel(t Tariff) costKernel {
 	switch tt := t.(type) {
 	case *FixedTariff:
-		return fixedCostKernel{rate: tt.Rate}
-	case *TOUTariff:
-		return compileTOUKernel(tt)
-	case *DynamicTariff:
-		return feedCostKernel{feed: tt.feed, mult: tt.multiplier, adder: tt.adder}
+		s := &fixedCost{rate: tt.Rate}
+		return func() costScanner { return s }
 	case *Stack:
 		kids := make([]costKernel, len(tt.components))
 		for i, c := range tt.components {
 			kids[i] = compileCostKernel(c)
 		}
-		return stackCostKernel{kids: kids}
+		return func() costScanner {
+			s := &stackCostScanner{kids: make([]costScanner, len(kids))}
+			for i, kid := range kids {
+				s.kids[i] = kid()
+			}
+			return s
+		}
 	default:
-		return priceAtCostKernel{t: t}
+		walk := compileWalk(t)
+		return func() costScanner { return &walkCostScanner{walk: walk()} }
 	}
 }
 
-// fixedCostKernel reproduces FixedTariff.Cost: sum energy, price once.
-type fixedCostKernel struct{ rate units.EnergyPrice }
+// fixedCost reproduces FixedTariff.Cost: the period's energy,
+// priced once. It keeps no state, so every scanner shares it.
+type fixedCost struct{ rate units.EnergyPrice }
 
-func (k fixedCostKernel) newScanner() costScanner { return &fixedCostScanner{rate: k.rate} }
+func (k *fixedCost) begin(time.Time, time.Duration, int) {}
+func (k *fixedCost) scan([]units.Power, int)             {}
+func (k *fixedCost) amount(kwh float64) units.Money      { return k.rate.Cost(units.Energy(kwh)) }
 
-type fixedCostScanner struct {
-	rate units.EnergyPrice
-	h    float64
-	kwh  float64
+// stackCostScanner reproduces Stack.Cost: each component prices the
+// period on its own and the amounts sum at the end.
+type stackCostScanner struct{ kids []costScanner }
+
+func (s *stackCostScanner) begin(start time.Time, interval time.Duration, n int) {
+	for _, k := range s.kids {
+		k.begin(start, interval, n)
+	}
 }
 
-func (s *fixedCostScanner) begin(_ time.Time, interval time.Duration, _ int) {
+func (s *stackCostScanner) scan(samples []units.Power, base int) {
+	for _, k := range s.kids {
+		k.scan(samples, base)
+	}
+}
+
+func (s *stackCostScanner) amount(kwh float64) units.Money {
+	var total units.Money
+	for _, k := range s.kids {
+		total += k.amount(kwh)
+	}
+	return total
+}
+
+// priceWalk names the price every sample of a period bills at, a
+// segment of equal prices at a time.
+type priceWalk interface {
+	// begin resets the walk for a period of n samples from start.
+	begin(start time.Time, interval time.Duration, n int)
+	// advance returns the tariff's PriceAt of sample i's instant and
+	// segEnd > i such that every sample in [i, segEnd) bills at that
+	// price. Successive calls pass increasing i, not always adjacent.
+	advance(i int) (price units.EnergyPrice, segEnd int)
+}
+
+// compileWalk lowers a tariff priced per sample to a maker of walks.
+func compileWalk(t Tariff) func() priceWalk {
+	switch tt := t.(type) {
+	case *FixedTariff:
+		w := &constWalk{price: tt.Rate}
+		return func() priceWalk { return w }
+	case *TOUTariff:
+		cube := touCube(tt)
+		return func() priceWalk { return &touWalk{sched: tt.schedule, cube: cube} }
+	case *DynamicTariff:
+		return func() priceWalk { return &feedWalk{feed: tt.feed, mult: tt.multiplier, adder: tt.adder} }
+	case *CPPTariff:
+		base := compileWalk(tt.base)
+		return func() priceWalk { return &cppWalk{t: tt, base: base()} }
+	default:
+		return func() priceWalk { return &priceAtWalk{t: t} }
+	}
+}
+
+// walkCostScanner reproduces costByPriceAt: every sample's energy is
+// billed at its walk price and rounded on its own. It is the one
+// per-sample pricing loop.
+type walkCostScanner struct {
+	walk   priceWalk
+	h      float64
+	total  units.Money
+	price  units.EnergyPrice
+	segEnd int
+}
+
+func (s *walkCostScanner) begin(start time.Time, interval time.Duration, n int) {
 	s.h = interval.Hours()
-	s.kwh = 0
+	s.total = 0
+	s.segEnd = 0
+	s.walk.begin(start, interval, n)
 }
 
-func (s *fixedCostScanner) scan(samples []units.Power, _ int) {
+func (s *walkCostScanner) scan(samples []units.Power, base int) {
 	h := s.h
-	kwh := s.kwh
-	for _, p := range samples {
-		kwh += float64(p) * h
+	total := s.total
+	for j := 0; j < len(samples); {
+		if base+j >= s.segEnd {
+			s.price, s.segEnd = s.walk.advance(base + j)
+		}
+		end := min(s.segEnd-base, len(samples))
+		price := s.price
+		for ; j < end; j++ {
+			total += price.Cost(units.Energy(float64(samples[j]) * h))
+		}
 	}
-	s.kwh = kwh
+	s.total = total
 }
 
-func (s *fixedCostScanner) amount() units.Money { return s.rate.Cost(units.Energy(s.kwh)) }
+func (s *walkCostScanner) amount(float64) units.Money { return s.total }
+
+// constWalk is a fixed tariff's walk: one price for the whole period.
+type constWalk struct{ price units.EnergyPrice }
+
+func (w *constWalk) begin(time.Time, time.Duration, int)  {}
+func (w *constWalk) advance(int) (units.EnergyPrice, int) { return w.price, maxSegEnd }
 
 // priceCube is a TOU schedule lowered to a dense lookup: month ×
 // day-kind (indexed by calendar.DayKind) × hour.
 type priceCube [12][4][24]units.EnergyPrice
 
-// compileTOUKernel bakes the schedule's label function and the rate map
-// into a price cube. calendar.LabelForSlot is the pinned contract that
-// the label depends only on (month, day-kind, hour).
-func compileTOUKernel(t *TOUTariff) costKernel {
-	k := &touCostKernel{sched: t.schedule}
+// touCube bakes the schedule's label function and the rate map into a
+// price cube. calendar.LabelForSlot is the pinned contract that the
+// label depends only on (month, day-kind, hour).
+func touCube(t *TOUTariff) *priceCube {
+	cube := new(priceCube)
 	for m := time.January; m <= time.December; m++ {
 		for _, kind := range []calendar.DayKind{calendar.Weekday, calendar.Weekend, calendar.Holiday} {
 			for h := 0; h < 24; h++ {
-				k.cube[m-1][kind][h] = t.rates[t.schedule.LabelForSlot(m, kind, h)]
+				cube[m-1][kind][h] = t.rates[t.schedule.LabelForSlot(m, kind, h)]
 			}
 		}
 	}
-	return k
+	return cube
 }
 
-type touCostKernel struct {
-	sched *calendar.Schedule
-	cube  priceCube
-}
-
-func (k *touCostKernel) newScanner() costScanner {
-	return &touCostScanner{sched: k.sched, cube: &k.cube}
-}
-
-// touCostScanner reproduces costByPriceAt for a TOU tariff: every sample's
-// energy is billed at the slot price of its interval start, rounding
-// per sample. The effective price advances per wall-clock hour segment;
-// each advance re-derives (month, day-kind, hour) from the exact sample
-// instant, so irregular intervals and DST transitions stay exact (a
-// segment that cannot make progress degrades to per-sample advancing).
-type touCostScanner struct {
+// touWalk walks a TOU tariff's wall-clock hours. Each advance
+// re-derives (month, day-kind, hour) from the exact sample instant, so
+// irregular intervals and DST transitions stay exact (a segment that
+// cannot make progress degrades to one sample).
+type touWalk struct {
 	sched *calendar.Schedule
 	cube  *priceCube
 
 	start    time.Time
 	interval time.Duration
-	h        float64
-	total    units.Money
 
 	price  units.EnergyPrice
 	segEnd int
@@ -233,12 +290,9 @@ type touCostScanner struct {
 	day            int64
 }
 
-func (s *touCostScanner) begin(start time.Time, interval time.Duration, _ int) {
+func (s *touWalk) begin(start time.Time, interval time.Duration, _ int) {
 	s.start = start
 	s.interval = interval
-	s.h = interval.Hours()
-	s.total = 0
-	s.segEnd = 0
 	s.haveDay = false
 	sec := start.Unix()
 	s.nsOK = interval > 0 && sec > -fastSecLimit && sec < fastSecLimit
@@ -247,26 +301,6 @@ func (s *touCostScanner) begin(start time.Time, interval time.Duration, _ int) {
 	}
 	s.spanLo, s.spanHi = 1, 0 // empty: the first fast advance looks the zone up
 	s.day = noDay
-}
-
-func (s *touCostScanner) scan(samples []units.Power, base int) {
-	h := s.h
-	total := s.total
-	for j := 0; j < len(samples); {
-		if base+j >= s.segEnd {
-			s.advance(base + j)
-		}
-		end := s.segEnd - base
-		if end > len(samples) {
-			end = len(samples)
-		}
-		price := s.price
-		for ; j < end; j++ {
-			en := float64(samples[j]) * h
-			total += price.Cost(units.Energy(en))
-		}
-	}
-	s.total = total
 }
 
 // Bounds of the arithmetic path. Start instants and offsets from them
@@ -294,7 +328,7 @@ const (
 // returns false before touching the price or the day cache:
 // DST-adjacent hours and instants outside the int64-nanosecond range
 // take advance's path.
-func (s *touCostScanner) advanceFast(i int) bool {
+func (s *touWalk) advanceFast(i int) bool {
 	if !s.nsOK || int64(i) > fastRelLimit/s.ivNs {
 		return false
 	}
@@ -327,7 +361,7 @@ func (s *touCostScanner) advanceFast(i int) bool {
 // over which advanceFast may use it: the zone's bounds, each pulled in
 // by a day plus the offset. An unbounded side, or one beyond the
 // nanoseconds advanceFast computes, is left open.
-func (s *touCostScanner) zoneAt(t time.Time) {
+func (s *touWalk) zoneAt(t time.Time) {
 	_, off := t.Zone()
 	s.off = int64(off) * int64(time.Second)
 	s.spanLo, s.spanHi = 1, 0
@@ -355,11 +389,11 @@ func floorDivMod(a, b int64) (q, r int64) {
 	return q, r
 }
 
-// advance recomputes the effective price at sample index i and the
-// first index past the current wall-clock hour.
-func (s *touCostScanner) advance(i int) {
+// advance finds the effective price at sample index i and the first
+// index past the current wall-clock hour.
+func (s *touWalk) advance(i int) (units.EnergyPrice, int) {
 	if s.advanceFast(i) {
-		return
+		return s.price, s.segEnd
 	}
 	s.day = noDay // the day cache below moves on without advanceFast
 	t := s.start.Add(time.Duration(i) * s.interval)
@@ -380,164 +414,101 @@ func (s *touCostScanner) advance(i int) {
 		seg = i + 1
 	}
 	s.segEnd = seg
+	return s.price, s.segEnd
 }
 
-func (s *touCostScanner) amount() units.Money { return s.total }
-
-// feedCostKernel reproduces costByPriceAt for a dynamic tariff: the feed
-// price in effect at each sample's interval start (with PriceAt's edge
-// clamping), marked up, priced and rounded per sample.
-type feedCostKernel struct {
-	feed  *timeseries.PriceSeries
-	mult  float64
-	adder units.EnergyPrice
-}
-
-func (k feedCostKernel) newScanner() costScanner {
-	return &feedCostScanner{feed: k.feed, mult: k.mult, adder: k.adder}
-}
-
-type feedCostScanner struct {
+// feedWalk walks a dynamic tariff's feed slots: the feed price in
+// effect at each sample's interval start, with PriceAt's edge clamping,
+// marked up.
+type feedWalk struct {
 	feed  *timeseries.PriceSeries
 	mult  float64
 	adder units.EnergyPrice
 
 	start    time.Time
 	interval time.Duration
-	h        float64
-	total    units.Money
-
-	price  units.EnergyPrice
-	segEnd int
 }
 
-func (s *feedCostScanner) begin(start time.Time, interval time.Duration, _ int) {
-	s.start = start
-	s.interval = interval
-	s.h = interval.Hours()
-	s.total = 0
-	s.segEnd = 0
-}
-
-func (s *feedCostScanner) scan(samples []units.Power, base int) {
-	h := s.h
-	total := s.total
-	for j := 0; j < len(samples); {
-		if base+j >= s.segEnd {
-			s.advance(base + j)
-		}
-		end := s.segEnd - base
-		if end > len(samples) {
-			end = len(samples)
-		}
-		price := s.price
-		for ; j < end; j++ {
-			en := float64(samples[j]) * h
-			total += price.Cost(units.Energy(en))
-		}
-	}
-	s.total = total
+func (w *feedWalk) begin(start time.Time, interval time.Duration, _ int) {
+	w.start = start
+	w.interval = interval
 }
 
 // advance mirrors PriceSeries.PriceAt at sample index i and finds the
 // first index whose instant leaves the current feed slot.
-func (s *feedCostScanner) advance(i int) {
-	t := s.start.Add(time.Duration(i) * s.interval)
-	fs := s.feed.Start()
-	fi := s.feed.Interval()
-	flen := s.feed.Len()
+func (w *feedWalk) advance(i int) (units.EnergyPrice, int) {
+	t := w.start.Add(time.Duration(i) * w.interval)
+	fs := w.feed.Start()
+	fi := w.feed.Interval()
+	flen := w.feed.Len()
 	var raw units.EnergyPrice
 	seg := maxSegEnd
 	switch {
 	case flen == 0:
 		raw = 0
 	case t.Before(fs):
-		raw = s.feed.At(0)
-		seg = billing.CeilIndex(fs.Sub(s.start), s.interval)
+		raw = w.feed.At(0)
+		seg = billing.CeilIndex(fs.Sub(w.start), w.interval)
 	default:
 		j := int(t.Sub(fs) / fi)
 		if j >= flen {
-			raw = s.feed.At(flen - 1)
+			raw = w.feed.At(flen - 1)
 		} else {
-			raw = s.feed.At(j)
+			raw = w.feed.At(j)
 			boundary := fs.Add(time.Duration(j+1) * fi)
-			seg = billing.CeilIndex(boundary.Sub(s.start), s.interval)
+			seg = billing.CeilIndex(boundary.Sub(w.start), w.interval)
 		}
 	}
 	if seg <= i {
 		seg = i + 1
 	}
-	s.segEnd = seg
-	s.price = units.EnergyPrice(float64(raw)*s.mult) + s.adder
+	return units.EnergyPrice(float64(raw)*w.mult) + w.adder, seg
 }
 
-func (s *feedCostScanner) amount() units.Money { return s.total }
+// cppWalk walks a CPP tariff over its base tariff's walk. A sample is
+// in a span exactly when some declared window Covers its instant
+// (billing.AppendSpans), which is when PriceAt returns the critical
+// rate.
+type cppWalk struct {
+	t     *CPPTariff
+	base  priceWalk
+	spans []billing.Span
+	cur   int // first span not wholly before the last advance
+}
 
-// stackCostKernel reproduces Stack.Cost: each component accumulates
-// independently and the amounts sum at the end, preserving
-// per-component rounding.
-type stackCostKernel struct{ kids []costKernel }
+func (w *cppWalk) begin(start time.Time, interval time.Duration, n int) {
+	w.spans = billing.AppendSpans(w.spans[:0], w.t.windows, start, interval, n)
+	w.cur = 0
+	w.base.begin(start, interval, n)
+}
 
-func (k stackCostKernel) newScanner() costScanner {
-	kids := make([]costScanner, len(k.kids))
-	for i, kid := range k.kids {
-		kids[i] = kid.newScanner()
+func (w *cppWalk) advance(i int) (units.EnergyPrice, int) {
+	for w.cur < len(w.spans) && w.spans[w.cur].Hi <= i {
+		w.cur++
 	}
-	return &stackCostScanner{kids: kids}
-}
-
-type stackCostScanner struct{ kids []costScanner }
-
-func (s *stackCostScanner) begin(start time.Time, interval time.Duration, n int) {
-	for _, k := range s.kids {
-		k.begin(start, interval, n)
+	if w.cur == len(w.spans) {
+		return w.base.advance(i)
 	}
-}
-
-func (s *stackCostScanner) scan(samples []units.Power, base int) {
-	for _, k := range s.kids {
-		k.scan(samples, base)
+	sp := w.spans[w.cur]
+	if sp.Lo <= i {
+		return w.t.criticalRate, sp.Hi
 	}
+	price, end := w.base.advance(i)
+	return price, min(end, sp.Lo)
 }
 
-func (s *stackCostScanner) amount() units.Money {
-	var total units.Money
-	for _, k := range s.kids {
-		total += k.amount()
-	}
-	return total
-}
-
-// priceAtCostKernel reproduces costByPriceAt for a tariff with no native
-// kernel: each sample's energy is billed at t.PriceAt of its interval
-// start, rounding per sample.
-type priceAtCostKernel struct{ t Tariff }
-
-func (k priceAtCostKernel) newScanner() costScanner { return &priceAtCostScanner{t: k.t} }
-
-type priceAtCostScanner struct {
+// priceAtWalk prices each sample at the tariff's own PriceAt of its
+// interval start, one sample per segment.
+type priceAtWalk struct {
 	t        Tariff
 	start    time.Time
 	interval time.Duration
-	h        float64
-	total    units.Money
 }
 
-func (s *priceAtCostScanner) begin(start time.Time, interval time.Duration, _ int) {
-	s.start = start
-	s.interval = interval
-	s.h = interval.Hours()
-	s.total = 0
+func (w *priceAtWalk) begin(start time.Time, interval time.Duration, _ int) {
+	w.start, w.interval = start, interval
 }
 
-func (s *priceAtCostScanner) scan(samples []units.Power, base int) {
-	h := s.h
-	total := s.total
-	for j, p := range samples {
-		at := s.start.Add(time.Duration(base+j) * s.interval)
-		total += s.t.PriceAt(at).Cost(units.Energy(float64(p) * h))
-	}
-	s.total = total
+func (w *priceAtWalk) advance(i int) (units.EnergyPrice, int) {
+	return w.t.PriceAt(w.start.Add(time.Duration(i) * w.interval)), i + 1
 }
-
-func (s *priceAtCostScanner) amount() units.Money { return s.total }

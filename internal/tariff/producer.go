@@ -12,13 +12,13 @@ import (
 	"repro/internal/billing"
 )
 
-// Producer adapts a tariff into a billing.LineItemProducer. Known
-// in-package kinds compile to native kernels (a fixed tariff prices
-// total energy once; TOU and dynamic tariffs price per sample from a
-// precomputed price segment; stacks keep per-component partial sums so
-// rounding matches Stack.Cost); any other Tariff implementation, CPP
-// included, is priced per sample through its own PriceAt inside the
-// same scan, as costByPriceAt does.
+// Producer adapts a tariff into a billing.LineItemProducer. A fixed
+// tariff prices total energy once; stacks keep per-component partial
+// sums so rounding matches Stack.Cost; every other tariff prices and
+// rounds per sample, as costByPriceAt does, along one price walk
+// (kernel.go): TOU, dynamic and CPP tariffs walk segments of equal
+// price, and a Stack under a CPP or any out-of-package Tariff walks
+// its own PriceAt one sample at a time.
 func Producer(t Tariff) billing.LineItemProducer {
 	return producer{t: t}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/units"
 )
 
-// touAdvanceRef is the TOU scanner's hour-segment step as it was before
+// touAdvanceRef is the TOU walk's hour-segment step as it was before
 // the arithmetic path: every advance resolves the instant's wall clock
 // through time.Date. It is the reference TestTOUAdvanceMatchesReference
 // holds advance to.
@@ -47,23 +47,23 @@ func (s *touAdvanceRef) advance(i int) {
 	s.segEnd = seg
 }
 
-// distinctCubeKernel is a TOU kernel whose every (month, day-kind, hour)
+// distinctCubeWalk is a TOU walk whose every (month, day-kind, hour)
 // slot has its own price, so a segment priced from the wrong hour, day
 // or month shows up as a different price.
-func distinctCubeKernel(holidays *calendar.HolidayCalendar) *touCostKernel {
-	k := &touCostKernel{sched: calendar.DayNight(8, 20, holidays)}
-	for m := range k.cube {
-		for d := range k.cube[m] {
-			for h := range k.cube[m][d] {
-				k.cube[m][d][h] = units.EnergyPrice(float64(10000*m+100*d+h+1) / 1e4)
+func distinctCubeWalk(holidays *calendar.HolidayCalendar) *touWalk {
+	w := &touWalk{sched: calendar.DayNight(8, 20, holidays), cube: new(priceCube)}
+	for m := range w.cube {
+		for d := range w.cube[m] {
+			for h := range w.cube[m][d] {
+				w.cube[m][d][h] = units.EnergyPrice(float64(10000*m+100*d+h+1) / 1e4)
 			}
 		}
 	}
-	return k
+	return w
 }
 
 // TestTOUAdvanceMatchesReference walks every hour segment of a few days
-// from each start and requires the scanner's price and segment end to
+// from each start and requires the walk's price and segment end to
 // match the time.Date reference at every step: UTC, two fixed offsets
 // (one negative, both off the hour), and two DST zones across both
 // transitions and a year boundary, at intervals that do and do not
@@ -104,12 +104,12 @@ func TestTOUAdvanceMatchesReference(t *testing.T) {
 		time.Date(2016, time.March, 27, 0, 0, 0, 0, time.UTC),
 		time.Date(2016, time.October, 30, 0, 0, 0, 0, time.UTC),
 	)
-	k := distinctCubeKernel(hols)
+	walk := distinctCubeWalk(hols)
 	for _, loc := range zones {
 		for _, iv := range intervals {
 			for _, w := range starts {
 				start := time.Date(w.y, w.mo, w.d, w.h, w.m, w.s, 0, loc)
-				checkAdvance(t, k, start, iv, int(5*24*time.Hour/iv))
+				checkAdvance(t, walk, start, iv, int(5*24*time.Hour/iv))
 			}
 		}
 	}
@@ -117,22 +117,22 @@ func TestTOUAdvanceMatchesReference(t *testing.T) {
 		time.Date(1650, time.June, 1, 0, 0, 0, 0, time.UTC),
 		time.Date(2300, time.December, 30, 0, 0, 0, 0, time.FixedZone("+05:30", 5*3600+1800)),
 	} {
-		checkAdvance(t, k, start, 15*time.Minute, 4*96)
+		checkAdvance(t, walk, start, 15*time.Minute, 4*96)
 	}
 }
 
-func checkAdvance(t *testing.T, k *touCostKernel, start time.Time, iv time.Duration, n int) {
+func checkAdvance(t *testing.T, w *touWalk, start time.Time, iv time.Duration, n int) {
 	t.Helper()
-	s := k.newScanner().(*touCostScanner)
-	s.begin(start, iv, n)
-	ref := &touAdvanceRef{sched: k.sched, cube: &k.cube, start: start, interval: iv}
+	w.begin(start, iv, n)
+	ref := &touAdvanceRef{sched: w.sched, cube: w.cube, start: start, interval: iv}
 	name := fmt.Sprintf("%s/%v", start.Format(time.RFC3339), iv)
-	for i := 0; i < n; i = s.segEnd {
-		s.advance(i)
+	for i := 0; i < n; {
+		price, segEnd := w.advance(i)
 		ref.advance(i)
-		if s.price != ref.price || s.segEnd != ref.segEnd {
+		if price != ref.price || segEnd != ref.segEnd {
 			t.Fatalf("%s: sample %d: price %v segEnd %d, reference %v %d",
-				name, i, s.price, s.segEnd, ref.price, ref.segEnd)
+				name, i, price, segEnd, ref.price, ref.segEnd)
 		}
+		i = segEnd
 	}
 }

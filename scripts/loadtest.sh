@@ -104,7 +104,9 @@ summary_row() { # label shape phase rps
 }
 
 # Overload workload: batch-only year-in-life bills, the heaviest shape
-# the API serves, so demand exceeds fleet capacity on any hardware.
+# the API serves (64 distinct contracts per batch, so batch dedupe
+# cannot fold one into a single bill), so demand exceeds fleet capacity
+# on any hardware.
 OVERLOAD_ARGS=(-batch-fraction 1 -batch-items 64
     -assert-zero-5xx -assert-min-shed 0.05 -assert-p99 10s)
 NOMINAL_ARGS=(-batch-fraction 0 -assert-zero-5xx -assert-p99 10s)
@@ -135,8 +137,9 @@ BASE_URL="http://127.0.0.1:$((BASE + 1))"
 run_load base-nominal "$BASE_URL" 30 1 "${NOMINAL_ARGS[@]}"
 # Scrape cache hit rate after the single-bill phase, where one request
 # is one engine-cache lookup. (The batch overload phase would swamp the
-# signal: each admitted 64-load batch is 1 miss + 63 same-spec hits,
-# pushing every shape toward ~98% regardless of sharding.)
+# signal: each admitted batch looks up 64 consecutive specs of the
+# cycle, four times one engine cache, on whichever backend owns the
+# first, so it measures the batch shape rather than sharding.)
 BASE_HIT=$(hit_rate "$BASE_URL")
 run_load base-overload "$BASE_URL" 1200 2 "${OVERLOAD_ARGS[@]}"
 stop_all
@@ -183,7 +186,8 @@ done
     echo "Seeded open-loop load (scload, year-in-life bills, $SPECS distinct"
     echo "specs, engine cache $CACHE per backend) against one unsharded scserved"
     echo "versus three scserved behind scroute. Overload phase is batch-only"
-    echo "(64 loads per request) at 1200 rps, far past fleet capacity."
+    echo "(one load x 64 distinct contracts per request) at 1200 rps, far"
+    echo "past fleet capacity."
     echo
     echo "| shape | phase | rps | sent | 2xx | 429 | shed | admitted p99 ms |"
     echo "|---|---|---|---|---|---|---|---|"
