@@ -12,7 +12,11 @@ package repro
 // rendered outputs.
 
 import (
+	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"sort"
 	"testing"
 	"time"
 
@@ -26,6 +30,7 @@ import (
 	"repro/internal/market"
 	"repro/internal/optimize"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/storage"
 	"repro/internal/tariff"
 	"repro/internal/timeseries"
@@ -445,5 +450,34 @@ func BenchmarkBillYearEngineSequential(b *testing.B) {
 		if len(bills) != 12 {
 			b.Fatalf("months = %d", len(bills))
 		}
+	}
+}
+
+// BenchmarkBillNamedProfile sends one /v1/bill per op through the
+// service handler, against each built-in named load profile in turn:
+// the single-bill request path end to end in process, body decode to
+// encoded response, with the profile resolved per request as the
+// daemon does.
+func BenchmarkBillNamedProfile(b *testing.B) {
+	h := serve.NewServer(serve.Config{}).Handler()
+	names := make([]string, 0, 3)
+	for name := range serve.NamedProfiles() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		body := []byte(`{"contract":{"name":"bench-site","tariffs":[{"type":"fixed","rate":0.085}],` +
+			`"demand_charges":[{"price_per_kw":12,"method":"n-peak-average","n_peaks":3}],` +
+			`"powerbands":[{"upper_kw":18000,"over_penalty":0.4}]},"load":{"profile":"` + name + `"}}`)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/bill", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s: %d %s", name, rec.Code, rec.Body)
+				}
+			}
+		})
 	}
 }

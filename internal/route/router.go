@@ -489,9 +489,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("propagated deadline already expired (%d ms remaining)", ms))
 			return
 		}
-		if d := time.Duration(ms) * time.Millisecond; d < budget {
-			budget = d
-		}
+		budget = wire.Tighten(budget, ms)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()

@@ -127,19 +127,24 @@ func TestHedgeLoserCanceledPromptly(t *testing.T) {
 
 // TestDeadlineShortCircuits: table-driven — a spent propagated deadline
 // answers 504 without touching any backend; a generous one forwards and
-// restamps a tightened budget downstream.
+// restamps a tightened budget downstream, and one above the configured
+// 30 s request timeout, even one too large for a time.Duration once
+// scaled, forwards within the configured budget.
 func TestDeadlineShortCircuits(t *testing.T) {
 	cases := []struct {
-		name        string
-		deadlineMS  string
-		wantCode    int
-		wantHits    int64
-		wantOrigin  string
-		wantRestamp bool
+		name       string
+		deadlineMS string
+		wantCode   int
+		wantHits   int64
+		wantOrigin string
+		maxRestamp int // > 0: the forward's budget must be in (0, maxRestamp]
 	}{
-		{"spent", "0", http.StatusGatewayTimeout, 0, OriginRouter, false},
-		{"negative", "-40", http.StatusGatewayTimeout, 0, OriginRouter, false},
-		{"generous", "5000", http.StatusOK, 1, "", true},
+		{"spent", "0", http.StatusGatewayTimeout, 0, OriginRouter, 0},
+		{"negative", "-40", http.StatusGatewayTimeout, 0, OriginRouter, 0},
+		{"generous", "5000", http.StatusOK, 1, "", 5000},
+		{"above-configured", "60000", http.StatusOK, 1, "", 30000},
+		{"overflowing", "9300000000000", http.StatusOK, 1, "", 30000},
+		{"max-int64", "9223372036854775807", http.StatusOK, 1, "", 30000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,15 +179,15 @@ func TestDeadlineShortCircuits(t *testing.T) {
 			if got := resp.Header.Get(OriginHeader); got != tc.wantOrigin {
 				t.Errorf("origin header = %q, want %q", got, tc.wantOrigin)
 			}
-			if tc.wantRestamp {
+			if tc.maxRestamp > 0 {
 				v, _ := stamped.Load().(string)
 				if v == "" {
 					t.Fatal("forward missing the restamped deadline header")
 				}
 				var ms int
 				fmt.Sscanf(v, "%d", &ms)
-				if ms <= 0 || ms > 5000 {
-					t.Errorf("restamped budget = %s ms, want in (0, 5000]", v)
+				if ms <= 0 || ms > tc.maxRestamp {
+					t.Errorf("restamped budget = %s ms, want in (0, %d]", v, tc.maxRestamp)
 				}
 			}
 		})

@@ -13,10 +13,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/advisor"
@@ -117,28 +117,54 @@ type AdviseRequest struct {
 	Materiality float64           `json:"materiality,omitempty"`
 }
 
+// namedProfile is one built-in synthetic load: its generator
+// parameters and the pool through which concurrent requests share its
+// series. load puts a series straight back after taking it, so the
+// pool holds read-only values and callers on one scheduler P all read
+// the same *timeseries.PowerSeries. The pool keeps a series while
+// requests use it; two garbage collections without one drop it, so an
+// idle server retains no profile.
+type namedProfile struct {
+	cfg    hpc.LoadProfileConfig
+	series sync.Pool // of *timeseries.PowerSeries
+}
+
+// load returns the profile's shared series, synthesizing it when the
+// pool is empty.
+func (p *namedProfile) load() (*timeseries.PowerSeries, error) {
+	load, ok := p.series.Get().(*timeseries.PowerSeries)
+	if !ok {
+		var err error
+		if load, err = hpc.SyntheticFacilityLoad(p.cfg); err != nil {
+			return nil, err
+		}
+	}
+	p.series.Put(load)
+	return load, nil
+}
+
 // namedProfiles is the built-in synthetic load table, built once;
 // namedProfileList is its sorted key list for error messages.
 var (
-	namedProfiles = func() map[string]hpc.LoadProfileConfig {
+	namedProfiles = func() map[string]*namedProfile {
 		march := time.Date(2016, time.March, 1, 0, 0, 0, 0, time.UTC)
 		january := time.Date(2016, time.January, 1, 0, 0, 0, 0, time.UTC)
-		return map[string]hpc.LoadProfileConfig{
+		return map[string]*namedProfile{
 			// The examples/quickstart month: steady 12 MW facility.
-			"quickstart-month": {
+			"quickstart-month": {cfg: hpc.LoadProfileConfig{
 				Start: march, Span: 30 * 24 * time.Hour, Interval: 15 * time.Minute,
 				Base: 12 * units.Megawatt, PeakToAverage: 1.5, NoiseSigma: 0.02, Seed: 1,
-			},
+			}},
 			// A peakier month — the kitchen-sink golden-test load.
-			"peaky-month": {
+			"peaky-month": {cfg: hpc.LoadProfileConfig{
 				Start: march, Span: 30 * 24 * time.Hour, Interval: 15 * time.Minute,
 				Base: 12 * units.Megawatt, PeakToAverage: 1.8, NoiseSigma: 0.03, Seed: 21,
-			},
+			}},
 			// A full calendar year for monthly billing and ratchet studies.
-			"year-in-life": {
+			"year-in-life": {cfg: hpc.LoadProfileConfig{
 				Start: january, Span: 365 * 24 * time.Hour, Interval: 15 * time.Minute,
 				Base: 12 * units.Megawatt, PeakToAverage: 1.6, NoiseSigma: 0.02, Seed: 7,
-			},
+			}},
 		}
 	}()
 	namedProfileList = func() string {
@@ -154,7 +180,11 @@ var (
 // NamedProfiles lists the built-in synthetic load profiles and their
 // generator parameters. The map is a copy the caller may modify.
 func NamedProfiles() map[string]hpc.LoadProfileConfig {
-	return maps.Clone(namedProfiles)
+	out := make(map[string]hpc.LoadProfileConfig, len(namedProfiles))
+	for n, p := range namedProfiles {
+		out[n] = p.cfg
+	}
+	return out
 }
 
 // resolveLoad materializes the request's load profile.
@@ -182,12 +212,12 @@ func resolveLoad(ls LoadSpec) (*timeseries.PowerSeries, error) {
 		return timeseries.NewPower(ls.Series.Start,
 			time.Duration(ls.Series.IntervalSeconds)*time.Second, samples)
 	case ls.Profile != "":
-		cfg, ok := namedProfiles[ls.Profile]
+		p, ok := namedProfiles[ls.Profile]
 		if !ok {
 			return nil, fmt.Errorf("load.profile: unknown profile %q (have: %s)",
 				ls.Profile, namedProfileList)
 		}
-		return hpc.SyntheticFacilityLoad(cfg)
+		return p.load()
 	default:
 		return resolveSynthetic(*ls.Synthetic)
 	}

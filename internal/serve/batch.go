@@ -224,9 +224,13 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request, body []
 
 // generatedLoad identifies a load the server generates from request
 // parameters — a named profile or a synthetic parameter set — so
-// repeats within one batch share a single series. Comparing the
-// synthetic start with == also compares its location, which can only
-// keep equal instants apart, never merge different ones.
+// repeats within one batch share a single series. Named profiles need
+// the key too: their pool is per P, so a handler that moves to another
+// P mid-batch could get a second pointer for the same name, and
+// batchPair, which compares loads by pointer, would bill the pair
+// twice. Comparing the synthetic start with == also compares its
+// location, which can only keep equal instants apart, never merge
+// different ones.
 type generatedLoad struct {
 	profile   string
 	synthetic SyntheticSpec

@@ -109,3 +109,42 @@ func TestGenerousAndMalformedDeadlines(t *testing.T) {
 		t.Errorf("deadlinePropagated = %d, want 1 (only the parseable budget counts)", got)
 	}
 }
+
+// TestOversizedDeadlinesKeepConfiguredBudget: a propagated budget above
+// the configured RequestTimeout, even one too large for a
+// time.Duration once scaled to milliseconds, keeps the configured
+// budget and bills normally; zero and negative budgets still refuse.
+func TestOversizedDeadlinesKeepConfiguredBudget(t *testing.T) {
+	const configured = 30 * time.Second
+	s := NewServer(Config{RequestTimeout: configured})
+	remaining := make(chan time.Duration, 1)
+	s.billHook = func(ctx context.Context) {
+		deadline, _ := ctx.Deadline()
+		remaining <- time.Until(deadline)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		ms   string
+		want int
+	}{
+		{"60000", http.StatusOK},
+		{"9300000000000", http.StatusOK},
+		{"9223372036854775807", http.StatusOK},
+		{"0", http.StatusGatewayTimeout},
+		{"-1", http.StatusGatewayTimeout},
+		{"-9223372036854775808", http.StatusGatewayTimeout},
+	} {
+		resp, body := postBillWithDeadline(t, ts, tc.ms)
+		if resp.StatusCode != tc.want {
+			t.Fatalf("deadline %s ms = %d %s, want %d", tc.ms, resp.StatusCode, body, tc.want)
+		}
+		if tc.want != http.StatusOK {
+			continue
+		}
+		if got := <-remaining; got <= configured-5*time.Second || got > configured {
+			t.Errorf("deadline %s ms left %v of the request budget, want the configured %v", tc.ms, got, configured)
+		}
+	}
+}

@@ -256,10 +256,7 @@ func (s *Server) requestBudget(r *http.Request) (budget time.Duration, propagate
 	if ms <= 0 {
 		return 0, true, true
 	}
-	if d := time.Duration(ms) * time.Millisecond; d < budget {
-		budget = d
-	}
-	return budget, true, false
+	return wire.Tighten(budget, ms), true, false
 }
 
 // gated wraps an expensive handler with the service's admission

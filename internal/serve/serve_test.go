@@ -86,20 +86,27 @@ func referenceFeed(load *timeseries.PowerSeries, rate float64) *timeseries.Price
 
 func postBill(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
 	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
+	resp, out, err := post(ts, path, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp, out
+}
+
+// post sends body as JSON and reads the whole response; unlike
+// postBill it may run off the test goroutine.
+func post(ts *httptest.Server, path string, body any) (*http.Response, []byte, error) {
+	data, err := json.Marshal(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(data))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	return resp, out, err
 }
 
 // postBillAsync fires a request from a background goroutine, where

@@ -21,8 +21,8 @@
 //   - Key matches an object member's key against a field name by
 //     encoding/json's rule, so a scan picks the member encoding/json
 //     would have decoded;
-//   - DeadlineHeader and Deadline name and parse the propagated
-//     request budget, so both daemons honour it alike.
+//   - DeadlineHeader, Deadline and Tighten name, parse and apply the
+//     propagated request budget, so both daemons honour it alike.
 //
 // Offsets are byte indexes into the scanned text. A value's start is
 // its first byte (never whitespace); its end is one past its last byte.
