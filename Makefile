@@ -100,12 +100,13 @@ bench-json:
 	@echo "wrote $(BENCH_OUT)"
 
 # CI perf gate: rerun the billing benchmarks, plus one /v1/bill per
-# named profile through the service handler, into BENCH_current.json
+# named profile and one dynamic-tariff year bill on the flat reference
+# feed through the service handler, into BENCH_current.json
 # and fail on a >15% ns/op or >10% allocs/op regression of the gated
 # benchmarks (the engine year-bill and the optimizer search riding on
 # it) vs the committed BENCH_billing.json baseline. Only benchmarks the
 # baseline lists are gated; the rest are reported.
-BENCH_SET := BenchmarkBillYear|BenchmarkBillingYear|BenchmarkOptimizeYear|BenchmarkBillNamedProfile
+BENCH_SET := BenchmarkBillYear|BenchmarkBillingYear|BenchmarkOptimizeYear|BenchmarkBillNamedProfile|BenchmarkBillDynamicFlat
 BENCH_GATE := BillYearEngine|OptimizeYear
 BENCH_THRESHOLD := 0.15
 BENCH_ALLOC_THRESHOLD := 0.10

@@ -481,3 +481,26 @@ func BenchmarkBillNamedProfile(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBillDynamicFlat sends one year-in-life /v1/bill per op with
+// a dynamic tariff and no configured price feed, so the engine prices
+// against the flat reference feed; the engine is compiled before the
+// timer starts, so every op is a hot-cache hit.
+func BenchmarkBillDynamicFlat(b *testing.B) {
+	h := serve.NewServer(serve.Config{}).Handler()
+	body := []byte(`{"contract":{"name":"bench-dynamic","tariffs":[{"type":"dynamic","multiplier":1.1,"adder":0.01}],` +
+		`"demand_charges":[{"price_per_kw":12,"method":"n-peak-average","n_peaks":3}]},"load":{"profile":"year-in-life"}}`)
+	bill := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/bill", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%d %s", rec.Code, rec.Body)
+		}
+	}
+	bill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bill()
+	}
+}

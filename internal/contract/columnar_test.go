@@ -23,7 +23,7 @@ import (
 // assertColumnarMatchesLegacy bills the case on the engine and on the
 // legacy multi-pass path and requires identical bills, single period
 // and monthly. columnar is the Engine.Columnar the contract must report:
-// false exactly when some tariff is, or stacks, a CPP tariff.
+// false exactly when some tariff is a CPP tariff.
 func assertColumnarMatchesLegacy(t *testing.T, name string, c *Contract, load *timeseries.PowerSeries, in BillingInput, columnar bool) {
 	t.Helper()
 	eng, err := NewEngine(c)
@@ -62,7 +62,8 @@ func assertColumnarMatchesLegacy(t *testing.T, name string, c *Contract, load *t
 }
 
 // columnarContract is a kitchen-sink contract exercising every kernel:
-// fixed, TOU, dynamic and stacked tariffs, all three demand-charge
+// fixed, TOU and dynamic tariffs (one pair a rider on a fixed rate,
+// as two entries), all three demand-charge
 // methods, a two-sided powerband, an emergency obligation and fees.
 func columnarContract(t *testing.T, feedStart time.Time, feedLen int) *Contract {
 	t.Helper()
@@ -84,7 +85,8 @@ func columnarContract(t *testing.T, feedStart time.Time, feedLen int) *Contract 
 				"summer-peak": 0.041, "peak": 0.021, "offpeak": 0.006,
 			}),
 			tariff.MustNewDynamic(feed, 1.15, 0.011),
-			tariff.MustNewStack(tariff.MustNewFixed(0.013), tariff.MustNewDynamic(feed, 0.35, 0)),
+			tariff.MustNewFixed(0.013), // with the next entry, a dynamic rider on a fixed rate
+			tariff.MustNewDynamic(feed, 0.35, 0),
 		},
 		DemandCharges: []*demand.Charge{
 			demand.MustNewCharge(11, demand.SinglePeak, 0, 0),
@@ -101,12 +103,12 @@ func columnarContract(t *testing.T, feedStart time.Time, feedLen int) *Contract 
 	}
 }
 
-// columnarCPPContract is columnarContract plus three CPP tariffs,
+// columnarCPPContract is columnarContract plus four CPP tariffs,
 // priced per sample along the CPP walk: one over a TOU base, with
 // windows across the first month edge after start and across both 2016
-// DST days in Europe/Zurich (start's zone without tzdata), one stacked
-// next to a fixed component, and one over a stack of fixed and dynamic
-// components, whose base is priced through its own PriceAt.
+// DST days in Europe/Zurich (start's zone without tzdata), one over a
+// fixed base beside a fixed entry, one over the dynamic rider entry,
+// and one over that CPP with windows of its own, so the walk nests.
 func columnarCPPContract(t *testing.T, start, feedStart time.Time, feedLen int) *Contract {
 	t.Helper()
 	c := columnarContract(t, feedStart, feedLen)
@@ -135,10 +137,16 @@ func columnarCPPContract(t *testing.T, start, feedStart time.Time, feedLen int) 
 		}
 		return tt
 	}
+	overDynamic := cpp(c.Tariffs[4], 0.4, windows[:3])
 	c.Tariffs = append(c.Tariffs,
 		cpp(c.Tariffs[1], 0.62, windows),
-		tariff.MustNewStack(tariff.MustNewFixed(0.019), cpp(tariff.MustNewFixed(0.013), 0.3, windows[1:])),
-		cpp(c.Tariffs[3], 0.4, windows[:3]),
+		tariff.MustNewFixed(0.019),
+		cpp(tariff.MustNewFixed(0.013), 0.3, windows[1:]),
+		overDynamic,
+		cpp(overDynamic, 0.9, []tariff.CriticalWindow{
+			{Start: start.Add(24 * time.Hour), End: start.Add(33 * time.Hour)}, // from inside the inner window to past it
+			windows[3],
+		}),
 	)
 	return c
 }

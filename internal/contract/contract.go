@@ -292,20 +292,13 @@ func (p Profile) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Classify maps a contract onto the typology. Tariff stacks are unpacked
-// so each stacked component is classified individually (the paper's
-// "variable service-charge applied on top of their fixed rate tariff"
-// sites tick both Fixed and Variable).
+// Classify maps a contract onto the typology. Each tariff entry ticks
+// its own kind, so the paper's "variable service-charge applied on top
+// of their fixed rate tariff" sites, a fixed entry plus a rider entry,
+// tick both Fixed and Variable.
 func Classify(c *Contract) Profile {
 	var p Profile
-	var visit func(t tariff.Tariff)
-	visit = func(t tariff.Tariff) {
-		if s, ok := t.(*tariff.Stack); ok {
-			for _, inner := range s.Components() {
-				visit(inner)
-			}
-			return
-		}
+	for _, t := range c.Tariffs {
 		switch t.Kind() {
 		case tariff.Fixed:
 			p.FixedTariff = true
@@ -314,9 +307,6 @@ func Classify(c *Contract) Profile {
 		case tariff.Dynamic:
 			p.DynamicTariff = true
 		}
-	}
-	for _, t := range c.Tariffs {
-		visit(t)
 	}
 	p.DemandCharge = len(c.DemandCharges) > 0
 	p.Powerband = len(c.Powerbands) > 0

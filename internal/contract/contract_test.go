@@ -156,16 +156,13 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestClassifyUnpacksStacks(t *testing.T) {
-	// The Sites 1/9 configuration: fixed base + TOU service-charge rider.
-	feedless := tariff.MustNewStack(
-		tariff.MustNewFixed(0.08),
-		mustTOU(),
-	)
-	c := &Contract{Name: "site1", Tariffs: []tariff.Tariff{feedless}}
+func TestClassifyRiderEntriesTickBoth(t *testing.T) {
+	// The Sites 1/9 configuration as survey.SiteSpec builds it: a fixed
+	// base and a TOU service-charge rider as two tariff entries.
+	c := &Contract{Name: "site1", Tariffs: []tariff.Tariff{tariff.MustNewFixed(0.08), mustTOU()}}
 	p := Classify(c)
-	if !p.FixedTariff || !p.TOUTariff {
-		t.Errorf("stack should tick both fixed and TOU: %+v", p)
+	if !p.FixedTariff || !p.TOUTariff || p.DynamicTariff {
+		t.Errorf("fixed + TOU entries should tick fixed and TOU only: %+v", p)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/billing"
 	"repro/internal/obs"
@@ -44,7 +43,8 @@ func NewEngine(c *Contract) (*Engine, error) {
 	columnar := true
 	for _, t := range c.Tariffs {
 		producers = append(producers, tariff.Producer(t))
-		columnar = columnar && !stacksCPP(t)
+		_, cpp := t.(*tariff.CPPTariff)
+		columnar = columnar && !cpp
 	}
 	for _, dc := range c.DemandCharges {
 		producers = append(producers, dc)
@@ -68,22 +68,11 @@ func NewEngine(c *Contract) (*Engine, error) {
 // Contract returns the compiled contract.
 func (e *Engine) Contract() *Contract { return e.c }
 
-// Columnar reports whether no tariff is, or stacks, a CPP tariff.
-// Every contract bills on the same columnar scan and the same price
-// walk either way; the fleet benchmark reads this bit to split its spec
-// pools, and it goes when the benchmark stops reading it.
+// Columnar reports whether no tariff is a CPP tariff. Every contract
+// bills on the same columnar scan and the same price walk either way;
+// the fleet benchmark reads this bit to split its spec pools, and it
+// goes when the benchmark stops reading it.
 func (e *Engine) Columnar() bool { return e.columnar }
-
-// stacksCPP reports whether t is, or stacks, a CPP tariff.
-func stacksCPP(t tariff.Tariff) bool {
-	switch tt := t.(type) {
-	case *tariff.CPPTariff:
-		return true
-	case *tariff.Stack:
-		return slices.ContainsFunc(tt.Components(), stacksCPP)
-	}
-	return false
-}
 
 // Bill prices one billing period's load profile.
 func (e *Engine) Bill(load *timeseries.PowerSeries, in BillingInput) (*Bill, error) {

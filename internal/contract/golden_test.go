@@ -175,7 +175,8 @@ func goldenCases(t *testing.T) []goldenCase {
 					"summer-peak": 0.04, "peak": 0.02, "offpeak": 0.005,
 				}),
 				tariff.MustNewDynamic(feed, 1.1, 0.012),
-				tariff.MustNewStack(tariff.MustNewFixed(0.05), tariff.MustNewDynamic(feed, 0.4, 0)),
+				tariff.MustNewFixed(0.05), // with the next entry, a dynamic rider on a fixed rate
+				tariff.MustNewDynamic(feed, 0.4, 0),
 			},
 			DemandCharges: []*demand.Charge{demand.MustNewCharge(11, demand.SinglePeak, 0, 0)},
 			Powerbands:    []*demand.Powerband{demand.MustNewPowerband(6*units.Megawatt, 19*units.Megawatt, 0.2, 0.6)},

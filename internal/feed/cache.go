@@ -200,15 +200,17 @@ func (c *Cached) fetchOnce(ctx context.Context, start, end time.Time) (*timeseri
 	return series, nil
 }
 
-// store records a successful fetch.
-func (c *Cached) store(s *timeseries.PriceSeries) {
+// store records a successful fetch and returns the version it stored
+// the series under.
+func (c *Cached) store(s *timeseries.PriceSeries) uint64 {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.series = s
 	c.fetchedAt = c.cfg.Now()
 	c.version++
 	c.lastErr = nil
 	c.stats.Refreshes++
-	c.mu.Unlock()
+	return c.version
 }
 
 // Prices answers a price request for [start, end) with the cache's
@@ -231,9 +233,11 @@ func (c *Cached) Prices(ctx context.Context, start, end time.Time) Result {
 	// to the stale/degraded answer.
 	series, err := c.fetchOnce(ctx, start, end)
 	if err == nil {
-		c.store(series)
+		// The version store returns, not c.version: a concurrent
+		// store may already have moved it on to another series.
+		v := c.store(series)
 		c.mu.Lock()
-		res := Result{Series: series, State: Fresh, Version: c.version}
+		res := Result{Series: series, State: Fresh, Version: v}
 		c.stats.Fresh++
 		c.mu.Unlock()
 		return res

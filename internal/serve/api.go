@@ -362,20 +362,21 @@ func (s *Server) engineForSpec(ctx context.Context, ps parsedSpec, feedSpec *Fee
 	spec, key := ps.spec, ps.key
 
 	var prices *timeseries.PriceSeries
+	var flat float64 // the flat reference feed's rate, when one is used
 	switch {
 	case !specNeedsFeed(spec):
 		// Static specs never consult a feed; key and build match the
 		// pre-feed fast path exactly.
 	case s.cfg.PriceFeed == nil || (feedSpec != nil && feedSpec.FlatRatePerKWh > 0):
-		// Flat reference feed over the load span, as cmd/scbill does.
-		rate := defaultFlatFeedRate
+		// Flat reference feed, as cmd/scbill does. A dynamic tariff
+		// clamps at its feed's edges, so one sample prices every
+		// instant of any load alike: the engine depends on the rate
+		// alone, and the feed is built on a miss only.
+		flat = defaultFlatFeedRate
 		if feedSpec != nil && feedSpec.FlatRatePerKWh > 0 {
-			rate = feedSpec.FlatRatePerKWh
+			flat = feedSpec.FlatRatePerKWh
 		}
-		n := int(load.End().Sub(load.Start())/time.Hour) + 1
-		prices = timeseries.ConstantPrice(load.Start(), time.Hour, n, units.EnergyPrice(rate))
-		key = fmt.Sprintf("%s|flat:%g:%s:%d", key, rate,
-			load.Start().UTC().Format(time.RFC3339), n)
+		key = fmt.Sprintf("%s|flat:%g", key, flat)
 	default:
 		fr := s.cfg.PriceFeed.Prices(ctx, load.Start(), load.End())
 		res = feedResolution{used: true, state: fr.State, age: fr.Age, reason: fr.Reason}
@@ -391,7 +392,11 @@ func (s *Server) engineForSpec(ctx context.Context, ps parsedSpec, feedSpec *Fee
 	defer obs.Span(ctx, stageCache)()
 	eng, err := s.cache.get(key, func() (*contract.Engine, error) {
 		defer obs.Span(ctx, stageCompile)()
-		c, err := spec.Build(contract.BuildContext{Feed: prices})
+		bc := contract.BuildContext{Feed: prices}
+		if flat > 0 {
+			bc.Feed = timeseries.ConstantPrice(load.Start(), time.Hour, 1, units.EnergyPrice(flat))
+		}
+		c, err := spec.Build(bc)
 		if err != nil {
 			return nil, err
 		}

@@ -298,8 +298,8 @@ func TestBatchRepeatedLoadsMatchSequential(t *testing.T) {
 // TestBatchFeedStaysPerItem: feed resolution stays per item. Repeated
 // loads against a degraded feed each carry the degraded marking of
 // their sequential response, and distinct loads under one dynamic spec
-// are never merged — not even two loads with the same span, which share
-// the flat-feed engine.
+// are never merged — not even two loads that share the flat-feed
+// engine.
 func TestBatchFeedStaysPerItem(t *testing.T) {
 	spec := specJSON(t, dynamicSpec())
 
@@ -336,8 +336,8 @@ func TestBatchFeedStaysPerItem(t *testing.T) {
 		s := NewServer(Config{})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
-		// quickstart-month and peaky-month share a span (one flat-feed
-		// engine), year-in-life does not (a second engine).
+		// quickstart-month and peaky-month share a span, year-in-life
+		// does not; one spec at one flat rate is one engine for all.
 		loads := []LoadSpec{
 			{Profile: "quickstart-month"}, {Profile: "peaky-month"},
 			{Profile: "year-in-life"}, {Profile: "quickstart-month"},
@@ -346,8 +346,8 @@ func TestBatchFeedStaysPerItem(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
 		}
-		if st := s.cache.stats(); st.compiles != 2 {
-			t.Errorf("two load spans must compile two flat-feed engines, got %+v", st)
+		if st := s.cache.stats(); st.compiles != 1 {
+			t.Errorf("one spec and one flat rate must compile one engine across load spans, got %+v", st)
 		}
 		if got := stageCount(t, scrapeMetrics(t, ts), "engine.bill"); got != 3 {
 			t.Errorf("engine.bill spans = %d, want 3 (one per distinct load)", got)
@@ -356,6 +356,17 @@ func TestBatchFeedStaysPerItem(t *testing.T) {
 			t.Error("two different loads on one flat-feed engine were merged")
 		}
 		checkItemsMatchSequential(t, ts, spec, loads, env, false)
+
+		// A second rate is a second engine.
+		resp, _, raw = postBatch(t, ts, "/v1/bill/batch", BatchRequest{
+			Contract: spec, Loads: loads[:1], Feed: &FeedSpec{FlatRatePerKWh: 0.07},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
+		}
+		if st := s.cache.stats(); st.compiles != 2 {
+			t.Errorf("two flat rates must compile two engines, got %+v", st)
+		}
 	})
 }
 

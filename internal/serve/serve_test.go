@@ -134,7 +134,12 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // TestBillEndpointMatchesInProcess is the end-to-end acceptance check:
 // POST /v1/bill must return byte-identical JSON to the in-process
-// contract.ComputeBill for the quickstart and kitchen-sink contracts.
+// contract.ComputeBill for the quickstart and kitchen-sink contracts,
+// and for a dynamic contract at requested flat rates, built in process
+// over a constant feed covering the load's own span (the tariff line
+// prints the feed mean). The server keys the flat feed on its rate
+// alone, so the year-in-life case reuses the engine the month case at
+// the same rate compiled.
 func TestBillEndpointMatchesInProcess(t *testing.T) {
 	s := NewServer(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -146,25 +151,35 @@ func TestBillEndpointMatchesInProcess(t *testing.T) {
 		spec    *contract.Spec
 		profile string
 		input   *InputSpec
+		rate    float64 // requested flat feed rate; 0 sends none
 	}{
-		{"quickstart", quickstartSpec(), "quickstart-month", nil},
+		{"quickstart", quickstartSpec(), "quickstart-month", nil, 0},
 		{"kitchen-sink", kitchenSinkSpec(), "peaky-month",
-			&InputSpec{HistoricalPeakKW: 21000, Events: events}},
+			&InputSpec{HistoricalPeakKW: 21000, Events: events}, 0},
+		{"dynamic-month", dynamicSpec(), "quickstart-month", nil, 0.12345},
+		{"dynamic-year", dynamicSpec(), "year-in-life", nil, 0.12345},
+		{"dynamic-year-default", dynamicSpec(), "year-in-life", nil, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postBill(t, ts, "/v1/bill", BillRequest{
+			req := BillRequest{
 				Contract: specJSON(t, tc.spec),
 				Load:     LoadSpec{Profile: tc.profile},
 				Input:    tc.input,
-			})
+			}
+			rate := defaultFlatFeedRate
+			if tc.rate > 0 {
+				req.Feed = &FeedSpec{FlatRatePerKWh: tc.rate}
+				rate = tc.rate
+			}
+			resp, body := postBill(t, ts, "/v1/bill", req)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d: %s", resp.StatusCode, body)
 			}
 
 			// The same computation in-process.
 			load := namedLoad(t, tc.profile)
-			c, err := tc.spec.Build(contract.BuildContext{Feed: referenceFeed(load, defaultFlatFeedRate)})
+			c, err := tc.spec.Build(contract.BuildContext{Feed: referenceFeed(load, rate)})
 			if err != nil {
 				t.Fatal(err)
 			}

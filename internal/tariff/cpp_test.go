@@ -107,11 +107,3 @@ func TestCPPNoWindowsEqualsBase(t *testing.T) {
 		t.Error("no windows, no premium")
 	}
 }
-
-func TestCPPInStackAndClassification(t *testing.T) {
-	cpp := newCPP(t, 0)
-	s := MustNewStack(MustNewFixed(0.02), cpp)
-	if s.Kind() != Dynamic {
-		t.Error("stack with CPP classifies dynamic")
-	}
-}

@@ -12,7 +12,8 @@ import (
 )
 
 // TestCPPWalkMatchesPriceAt walks CPP tariffs over a fixed, a TOU, a
-// dynamic and a stacked base through periods around both 2016
+// dynamic and a CPP base (with windows of its own, over a dynamic
+// tariff, so the walk nests) through periods around both 2016
 // Europe/Zurich DST days, and requires every sample of every segment to
 // bill at exactly CPPTariff.PriceAt of its instant: a segment that runs
 // past a price change, in or out of a critical window, shows up as a
@@ -44,13 +45,29 @@ func TestCPPWalkMatchesPriceAt(t *testing.T) {
 		prices[i] = units.EnergyPrice(0.03 + 0.02*math.Sin(float64(i)/5))
 	}
 	feed := timeseries.MustNewPrice(time.Date(2016, time.March, 24, 6, 30, 0, 0, time.UTC), time.Hour, prices)
+	nested, err := NewCPP(MustNewDynamic(feed, 0.35, 0.013), 0.9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range periods {
+		for _, w := range []CriticalWindow{
+			{Start: p.start.Add(3 * time.Hour), End: p.start.Add(6 * time.Hour)}, // across outer windows
+			{Start: p.start.Add(9*time.Hour + 30*time.Minute), End: p.start.Add(10*time.Hour + 30*time.Minute)},
+			{Start: p.start.Add(20 * time.Hour), End: p.start.Add(22*time.Hour + 7*time.Minute)}, // clear of them
+			{Start: time.Date(2016, time.October, 30, 0, 30, 0, 0, loc), End: time.Date(2016, time.October, 30, 2, 30, 0, 0, loc)},
+		} {
+			if err := nested.Declare(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	bases := map[string]Tariff{
 		"fixed": MustNewFixed(0.07),
 		"tou": MustNewTOU(calendar.SeasonalDayNight(7, 21, holidays), map[string]units.EnergyPrice{
 			"summer-peak": 0.041, "peak": 0.021, "offpeak": 0.006,
 		}),
 		"dynamic": MustNewDynamic(feed, 1.15, 0.011),
-		"stack":   MustNewStack(MustNewFixed(0.013), MustNewDynamic(feed, 0.35, 0)),
+		"cpp":     nested,
 	}
 
 	for name, base := range bases {
@@ -79,7 +96,7 @@ func TestCPPWalkMatchesPriceAt(t *testing.T) {
 				}
 			}
 		}
-		walk := compileWalk(cpp)()
+		walk := cpp.walker()()
 		for _, p := range periods {
 			n := int(p.start.AddDate(0, 0, p.days).Sub(p.start) / p.iv)
 			checkWalk(t, fmt.Sprintf("%s/%s/%v", name, p.start.Format(time.RFC3339), p.iv), walk, cpp, p.start, p.iv, n)

@@ -3,10 +3,12 @@ package tariff
 // Columnar kernels for the kWh branch. Every tariff compiles to a
 // billing.Kernel whose scanner reproduces the tariff's Cost arithmetic
 // exactly: a fixed tariff sums energy and rounds once; every other kind
-// prices and rounds per sample. Those share one loop, walkCostScanner,
-// over a priceWalk: a walk names the price of a sample and the first
-// later sample where it may change, so the loop prices a segment at a
-// time with no per-sample lookup. The walks:
+// prices and rounds per sample, in tariffScanner's one loop over a
+// priceWalk: a walk names the price of a sample and the first later
+// sample where it may change, so the loop prices a segment at a time
+// with no per-sample lookup. Each tariff compiles its own walk through
+// the unexported Tariff.walker, so every Tariff is one of this
+// package's kinds and none is priced through PriceAt. The walks:
 //
 //   - TOU (touWalk): the schedule is lowered to a month × day-kind ×
 //     hour price cube at compile time (calendar.LabelForSlot
@@ -21,9 +23,6 @@ package tariff
 //     critical rate holds to the span's end; outside, the base
 //     tariff's walk runs, its segments cut at the next span's start.
 //   - Fixed under a CPP (constWalk): one segment for the period.
-//   - A Stack under a CPP, or any out-of-package Tariff (priceAtWalk):
-//     the tariff's own PriceAt at each sample's interval start, one
-//     sample per segment.
 
 import (
 	"math"
@@ -40,40 +39,55 @@ const maxSegEnd = int(^uint(0) >> 1)
 
 // CompileKernel compiles the adapted tariff into a columnar kernel.
 func (p producer) CompileKernel() billing.Kernel {
-	return &tariffKernel{
-		class: classFor(p.t.Kind()),
-		desc:  p.t.Describe(),
-		cost:  compileCostKernel(p.t),
+	k := &tariffKernel{class: classFor(p.t.Kind()), desc: p.t.Describe()}
+	if f, ok := p.t.(*FixedTariff); ok {
+		k.rate = f.Rate
+	} else {
+		k.walk = p.t.walker()
 	}
+	return k
 }
 
-// tariffKernel pairs the compiled cost kernel with the precomputed
-// line-item metadata (class and description are period-invariant).
+// tariffKernel holds the period-invariant line-item metadata and what
+// prices the period: a fixed tariff's rate, or the maker of every
+// other tariff's walk.
 type tariffKernel struct {
 	class billing.Class
 	desc  string
-	cost  costKernel
+	rate  units.EnergyPrice
+	walk  func() priceWalk // nil for a fixed tariff
 }
 
 func (k *tariffKernel) NewScanner() billing.Scanner {
-	return &tariffScanner{class: k.class, desc: k.desc, cost: k.cost()}
+	s := &tariffScanner{k: k}
+	if k.walk != nil {
+		s.walk = k.walk()
+	}
+	return s
 }
 
 // tariffScanner keeps a running period-energy sum for the quantity
-// column and wraps the cost scanner.
+// column. A fixed tariff prices that sum once, as FixedTariff.Cost
+// does; every other tariff bills each sample's energy at its walk price
+// and rounds it on its own, as costByPriceAt does. This is the one
+// per-sample pricing loop.
 type tariffScanner struct {
-	class billing.Class
-	desc  string
-	cost  costScanner
-	h     float64
-	kwh   float64
-	buf   []byte
+	k      *tariffKernel
+	walk   priceWalk // nil for a fixed tariff
+	h      float64
+	kwh    float64
+	total  units.Money
+	price  units.EnergyPrice
+	segEnd int
+	buf    []byte
 }
 
 func (s *tariffScanner) Begin(_ *billing.PeriodContext, start time.Time, interval time.Duration, n int) {
 	s.h = interval.Hours()
-	s.kwh = 0
-	s.cost.begin(start, interval, n)
+	s.kwh, s.total, s.segEnd = 0, 0, 0
+	if s.walk != nil {
+		s.walk.begin(start, interval, n)
+	}
 }
 
 func (s *tariffScanner) Scan(samples []units.Power, base int) {
@@ -83,140 +97,9 @@ func (s *tariffScanner) Scan(samples []units.Power, base int) {
 		kwh += float64(p) * h
 	}
 	s.kwh = kwh
-	s.cost.scan(samples, base)
-}
-
-func (s *tariffScanner) AppendLines(dst []billing.LineItem) []billing.LineItem {
-	s.buf = units.AppendEnergy(s.buf[:0], units.Energy(s.kwh))
-	return append(dst, billing.LineItem{
-		Class:       s.class,
-		Description: s.desc,
-		Quantity:    string(s.buf),
-		Amount:      s.cost.amount(s.kwh),
-	})
-}
-
-// costKernel makes the per-period scanners of one compiled tariff: the
-// columnar form of Tariff.Cost.
-type costKernel func() costScanner
-
-// costScanner prices one period. amount receives the period's energy
-// as tariffScanner summed it.
-type costScanner interface {
-	begin(start time.Time, interval time.Duration, n int)
-	scan(samples []units.Power, base int)
-	amount(kwh float64) units.Money
-}
-
-// compileCostKernel lowers a tariff's cost arithmetic: a fixed tariff
-// prices the period's energy once, a stack sums its components'
-// amounts (preserving per-component rounding, as Stack.Cost does), and
-// every other tariff is priced per sample along its walk.
-func compileCostKernel(t Tariff) costKernel {
-	switch tt := t.(type) {
-	case *FixedTariff:
-		s := &fixedCost{rate: tt.Rate}
-		return func() costScanner { return s }
-	case *Stack:
-		kids := make([]costKernel, len(tt.components))
-		for i, c := range tt.components {
-			kids[i] = compileCostKernel(c)
-		}
-		return func() costScanner {
-			s := &stackCostScanner{kids: make([]costScanner, len(kids))}
-			for i, kid := range kids {
-				s.kids[i] = kid()
-			}
-			return s
-		}
-	default:
-		walk := compileWalk(t)
-		return func() costScanner { return &walkCostScanner{walk: walk()} }
+	if s.walk == nil {
+		return
 	}
-}
-
-// fixedCost reproduces FixedTariff.Cost: the period's energy,
-// priced once. It keeps no state, so every scanner shares it.
-type fixedCost struct{ rate units.EnergyPrice }
-
-func (k *fixedCost) begin(time.Time, time.Duration, int) {}
-func (k *fixedCost) scan([]units.Power, int)             {}
-func (k *fixedCost) amount(kwh float64) units.Money      { return k.rate.Cost(units.Energy(kwh)) }
-
-// stackCostScanner reproduces Stack.Cost: each component prices the
-// period on its own and the amounts sum at the end.
-type stackCostScanner struct{ kids []costScanner }
-
-func (s *stackCostScanner) begin(start time.Time, interval time.Duration, n int) {
-	for _, k := range s.kids {
-		k.begin(start, interval, n)
-	}
-}
-
-func (s *stackCostScanner) scan(samples []units.Power, base int) {
-	for _, k := range s.kids {
-		k.scan(samples, base)
-	}
-}
-
-func (s *stackCostScanner) amount(kwh float64) units.Money {
-	var total units.Money
-	for _, k := range s.kids {
-		total += k.amount(kwh)
-	}
-	return total
-}
-
-// priceWalk names the price every sample of a period bills at, a
-// segment of equal prices at a time.
-type priceWalk interface {
-	// begin resets the walk for a period of n samples from start.
-	begin(start time.Time, interval time.Duration, n int)
-	// advance returns the tariff's PriceAt of sample i's instant and
-	// segEnd > i such that every sample in [i, segEnd) bills at that
-	// price. Successive calls pass increasing i, not always adjacent.
-	advance(i int) (price units.EnergyPrice, segEnd int)
-}
-
-// compileWalk lowers a tariff priced per sample to a maker of walks.
-func compileWalk(t Tariff) func() priceWalk {
-	switch tt := t.(type) {
-	case *FixedTariff:
-		w := &constWalk{price: tt.Rate}
-		return func() priceWalk { return w }
-	case *TOUTariff:
-		cube := touCube(tt)
-		return func() priceWalk { return &touWalk{sched: tt.schedule, cube: cube} }
-	case *DynamicTariff:
-		return func() priceWalk { return &feedWalk{feed: tt.feed, mult: tt.multiplier, adder: tt.adder} }
-	case *CPPTariff:
-		base := compileWalk(tt.base)
-		return func() priceWalk { return &cppWalk{t: tt, base: base()} }
-	default:
-		return func() priceWalk { return &priceAtWalk{t: t} }
-	}
-}
-
-// walkCostScanner reproduces costByPriceAt: every sample's energy is
-// billed at its walk price and rounded on its own. It is the one
-// per-sample pricing loop.
-type walkCostScanner struct {
-	walk   priceWalk
-	h      float64
-	total  units.Money
-	price  units.EnergyPrice
-	segEnd int
-}
-
-func (s *walkCostScanner) begin(start time.Time, interval time.Duration, n int) {
-	s.h = interval.Hours()
-	s.total = 0
-	s.segEnd = 0
-	s.walk.begin(start, interval, n)
-}
-
-func (s *walkCostScanner) scan(samples []units.Power, base int) {
-	h := s.h
 	total := s.total
 	for j := 0; j < len(samples); {
 		if base+j >= s.segEnd {
@@ -231,10 +114,38 @@ func (s *walkCostScanner) scan(samples []units.Power, base int) {
 	s.total = total
 }
 
-func (s *walkCostScanner) amount(float64) units.Money { return s.total }
+func (s *tariffScanner) AppendLines(dst []billing.LineItem) []billing.LineItem {
+	amount := s.total
+	if s.walk == nil {
+		amount = s.k.rate.Cost(units.Energy(s.kwh))
+	}
+	s.buf = units.AppendEnergy(s.buf[:0], units.Energy(s.kwh))
+	return append(dst, billing.LineItem{
+		Class:       s.k.class,
+		Description: s.k.desc,
+		Quantity:    string(s.buf),
+		Amount:      amount,
+	})
+}
+
+// priceWalk names the price every sample of a period bills at, a
+// segment of equal prices at a time.
+type priceWalk interface {
+	// begin resets the walk for a period of n samples from start.
+	begin(start time.Time, interval time.Duration, n int)
+	// advance returns the tariff's PriceAt of sample i's instant and
+	// segEnd > i such that every sample in [i, segEnd) bills at that
+	// price. Successive calls pass increasing i, not always adjacent.
+	advance(i int) (price units.EnergyPrice, segEnd int)
+}
 
 // constWalk is a fixed tariff's walk: one price for the whole period.
 type constWalk struct{ price units.EnergyPrice }
+
+func (t *FixedTariff) walker() func() priceWalk {
+	w := &constWalk{price: t.Rate}
+	return func() priceWalk { return w }
+}
 
 func (w *constWalk) begin(time.Time, time.Duration, int)  {}
 func (w *constWalk) advance(int) (units.EnergyPrice, int) { return w.price, maxSegEnd }
@@ -256,6 +167,11 @@ func touCube(t *TOUTariff) *priceCube {
 		}
 	}
 	return cube
+}
+
+func (t *TOUTariff) walker() func() priceWalk {
+	cube := touCube(t)
+	return func() priceWalk { return &touWalk{sched: t.schedule, cube: cube} }
 }
 
 // touWalk walks a TOU tariff's wall-clock hours. Each advance
@@ -429,6 +345,10 @@ type feedWalk struct {
 	interval time.Duration
 }
 
+func (t *DynamicTariff) walker() func() priceWalk {
+	return func() priceWalk { return &feedWalk{feed: t.feed, mult: t.multiplier, adder: t.adder} }
+}
+
 func (w *feedWalk) begin(start time.Time, interval time.Duration, _ int) {
 	w.start = start
 	w.interval = interval
@@ -476,6 +396,11 @@ type cppWalk struct {
 	cur   int // first span not wholly before the last advance
 }
 
+func (t *CPPTariff) walker() func() priceWalk {
+	base := t.base.walker()
+	return func() priceWalk { return &cppWalk{t: t, base: base()} }
+}
+
 func (w *cppWalk) begin(start time.Time, interval time.Duration, n int) {
 	w.spans = billing.AppendSpans(w.spans[:0], w.t.windows, start, interval, n)
 	w.cur = 0
@@ -495,20 +420,4 @@ func (w *cppWalk) advance(i int) (units.EnergyPrice, int) {
 	}
 	price, end := w.base.advance(i)
 	return price, min(end, sp.Lo)
-}
-
-// priceAtWalk prices each sample at the tariff's own PriceAt of its
-// interval start, one sample per segment.
-type priceAtWalk struct {
-	t        Tariff
-	start    time.Time
-	interval time.Duration
-}
-
-func (w *priceAtWalk) begin(start time.Time, interval time.Duration, _ int) {
-	w.start, w.interval = start, interval
-}
-
-func (w *priceAtWalk) advance(i int) (units.EnergyPrice, int) {
-	return w.t.PriceAt(w.start.Add(time.Duration(i) * w.interval)), i + 1
 }

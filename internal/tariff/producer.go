@@ -13,12 +13,11 @@ import (
 )
 
 // Producer adapts a tariff into a billing.LineItemProducer. A fixed
-// tariff prices total energy once; stacks keep per-component partial
-// sums so rounding matches Stack.Cost; every other tariff prices and
-// rounds per sample, as costByPriceAt does, along one price walk
+// tariff prices total energy once; every other tariff prices and rounds
+// per sample, as costByPriceAt does, along its own price walk
 // (kernel.go): TOU, dynamic and CPP tariffs walk segments of equal
-// price, and a Stack under a CPP or any out-of-package Tariff walks
-// its own PriceAt one sample at a time.
+// price. A rider on top of a base rate is a second tariff entry of the
+// contract, with a producer of its own.
 func Producer(t Tariff) billing.LineItemProducer {
 	return producer{t: t}
 }

@@ -22,7 +22,6 @@ package tariff
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -81,6 +80,9 @@ type Tariff interface {
 	Cost(load *timeseries.PowerSeries) units.Money
 	// Describe returns a one-line human-readable description.
 	Describe() string
+	// walker compiles the tariff's price walk (kernel.go). It is
+	// unexported, so every Tariff is one of this package's kinds.
+	walker() func() priceWalk
 }
 
 // costByPriceAt bills every sample at PriceAt of its interval start,
@@ -281,103 +283,6 @@ func (t *DynamicTariff) Describe() string {
 		t.feed.Mean(), t.multiplier, float64(t.adder))
 }
 
-// Stack is an ordered list of tariff components applied additively to the
-// same load — e.g. a fixed base rate plus a time-of-use service-charge
-// rider (the Sites 1 and 9 configuration in the paper's Table 2).
-type Stack struct {
-	components []Tariff
-}
-
-// NewStack builds a stack; at least one component is required.
-func NewStack(components ...Tariff) (*Stack, error) {
-	if len(components) == 0 {
-		return nil, errors.New("tariff: stack needs at least one component")
-	}
-	return &Stack{components: components}, nil
-}
-
-// MustNewStack is NewStack that panics on error.
-func MustNewStack(components ...Tariff) *Stack {
-	s, err := NewStack(components...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Components returns the stacked tariffs in application order.
-func (s *Stack) Components() []Tariff {
-	out := make([]Tariff, len(s.components))
-	copy(out, s.components)
-	return out
-}
-
-// Kind returns the most dynamic kind present: a stack containing any
-// dynamic component is classified dynamic; else TOU if present; else
-// fixed. This mirrors how the paper's Table 2 ticks multiple tariff
-// columns per site while the discussion treats the most flexible
-// component as the site's DR exposure.
-func (s *Stack) Kind() Kind {
-	best := Fixed
-	for _, c := range s.components {
-		if c.Kind() > best {
-			best = c.Kind()
-		}
-	}
-	return best
-}
-
-// Kinds returns the distinct kinds present, sorted.
-func (s *Stack) Kinds() []Kind {
-	set := map[Kind]bool{}
-	for _, c := range s.components {
-		set[c.Kind()] = true
-	}
-	out := make([]Kind, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// PriceAt returns the summed effective price at t.
-func (s *Stack) PriceAt(at time.Time) units.EnergyPrice {
-	var sum units.EnergyPrice
-	for _, c := range s.components {
-		sum += c.PriceAt(at)
-	}
-	return sum
-}
-
-// Cost sums the component costs.
-func (s *Stack) Cost(load *timeseries.PowerSeries) units.Money {
-	var total units.Money
-	for _, c := range s.components {
-		total += c.Cost(load)
-	}
-	return total
-}
-
-// CostByComponent returns each component's contribution in order.
-func (s *Stack) CostByComponent(load *timeseries.PowerSeries) []units.Money {
-	out := make([]units.Money, len(s.components))
-	for i, c := range s.components {
-		out[i] = c.Cost(load)
-	}
-	return out
-}
-
-// Describe returns a one-line description of the whole stack.
-func (s *Stack) Describe() string {
-	parts := make([]string, len(s.components))
-	for i, c := range s.components {
-		parts[i] = c.Describe()
-	}
-	return strings.Join(parts, " + ")
-}
-
 var _ Tariff = (*FixedTariff)(nil)
 var _ Tariff = (*TOUTariff)(nil)
 var _ Tariff = (*DynamicTariff)(nil)
-var _ Tariff = (*Stack)(nil)

@@ -188,61 +188,6 @@ func TestMustNewDynamicPanics(t *testing.T) {
 	MustNewDynamic(nil, 1, 0)
 }
 
-func TestStack(t *testing.T) {
-	base := MustNewFixed(0.08)
-	rider := newDayNightTOU(t)
-	s := MustNewStack(base, rider)
-	if s.Kind() != TimeOfUse {
-		t.Errorf("stack kind = %v", s.Kind())
-	}
-	kinds := s.Kinds()
-	if len(kinds) != 2 || kinds[0] != Fixed || kinds[1] != TimeOfUse {
-		t.Errorf("Kinds = %v", kinds)
-	}
-	// PriceAt is the sum.
-	if got := s.PriceAt(t0.Add(12 * time.Hour)); math.Abs(float64(got)-0.28) > 1e-12 {
-		t.Errorf("stacked peak price = %v, want 0.28", got)
-	}
-	// Cost equals sum of parts.
-	load := flatLoad(24, 1000)
-	if got, want := s.Cost(load), base.Cost(load)+rider.Cost(load); got != want {
-		t.Errorf("stack cost = %v, want %v", got, want)
-	}
-	parts := s.CostByComponent(load)
-	if len(parts) != 2 || parts[0] != base.Cost(load) || parts[1] != rider.Cost(load) {
-		t.Errorf("CostByComponent = %v", parts)
-	}
-	if len(s.Components()) != 2 {
-		t.Error("Components")
-	}
-	if !strings.Contains(s.Describe(), "+") {
-		t.Error("describe should join components")
-	}
-}
-
-func TestStackKindDynamicDominates(t *testing.T) {
-	feed := timeseries.ConstantPrice(t0, time.Hour, 1, 0.10)
-	s := MustNewStack(MustNewFixed(0.08), PassThrough(feed))
-	if s.Kind() != Dynamic {
-		t.Errorf("stack kind = %v, want Dynamic", s.Kind())
-	}
-}
-
-func TestNewStackValidation(t *testing.T) {
-	if _, err := NewStack(); err == nil {
-		t.Error("empty stack should fail")
-	}
-}
-
-func TestMustNewStackPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("should panic")
-		}
-	}()
-	MustNewStack()
-}
-
 // Property: for any load, fixed-tariff cost equals rate × total energy
 // within one micro-unit.
 func TestQuickFixedCostMatchesEnergy(t *testing.T) {
@@ -287,27 +232,6 @@ func TestQuickTOUCostBounds(t *testing.T) {
 		lo := units.EnergyPrice(0.05).Cost(load.Energy())
 		hi := units.EnergyPrice(0.20).Cost(load.Energy())
 		return cost >= lo-units.Money(load.Len()) && cost <= hi+units.Money(load.Len())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: stacking is additive — Stack(a,b).Cost == a.Cost + b.Cost.
-func TestQuickStackAdditive(t *testing.T) {
-	a := MustNewFixed(0.07)
-	b := newDayNightTOU(t)
-	s := MustNewStack(a, b)
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		samples := make([]units.Power, len(raw))
-		for i, v := range raw {
-			samples[i] = units.Power(v) * 100
-		}
-		load := timeseries.MustNewPower(t0, time.Hour, samples)
-		return s.Cost(load) == a.Cost(load)+b.Cost(load)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/calendar"
 	"repro/internal/contract"
 	"repro/internal/demand"
 	"repro/internal/dr"
@@ -62,6 +63,34 @@ func TestQuickBillMonotoneInLoad(t *testing.T) {
 		return b2.Total <= b1.Total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: a rider is a second tariff entry. A contract whose tariffs
+// are [a, b], a fixed rate and a TOU service charge on top of it (the
+// Sites 1 and 9 configuration), bills exactly a.Cost(load) and
+// b.Cost(load) on its two tariff lines, and their sum as its total.
+func TestQuickRiderEntriesBillAdditively(t *testing.T) {
+	a := tariff.MustNewFixed(0.07)
+	b := tariff.MustNewTOU(calendar.SeasonalDayNight(8, 20, nil), map[string]units.EnergyPrice{
+		"summer-peak": 0.04, "peak": 0.03, "offpeak": 0.01,
+	})
+	c := &contract.Contract{Name: "rider", Tariffs: []tariff.Tariff{a, b}}
+	f := func(raw []uint16, offsetH uint16) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		start := propStart.Add(time.Duration(offsetH%8784) * time.Hour)
+		load := timeseries.MustNewPower(start, 15*time.Minute, propSeries(raw).Samples())
+		bill, err := contract.ComputeBill(c, load, contract.BillingInput{})
+		if err != nil || len(bill.Lines) != 2 {
+			return false
+		}
+		return bill.Lines[0].Amount == a.Cost(load) && bill.Lines[1].Amount == b.Cost(load) &&
+			bill.Total == a.Cost(load)+b.Cost(load)
+	}
+	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
