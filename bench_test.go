@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/billing"
 	"repro/internal/calendar"
 	"repro/internal/contract"
 	"repro/internal/demand"
@@ -174,11 +175,19 @@ func BenchmarkAblation_DemandChargeMethods(b *testing.B) {
 		"3-peak-avg":  demand.MustNewCharge(13, demand.NPeakAverage, 3, 0),
 		"ratchet-0.8": demand.MustNewCharge(13, demand.Ratchet, 0, 0.8),
 	}
+	pctx := billing.PeriodContext{HistoricalPeak: 15 * units.Megawatt}
 	for name, c := range charges {
 		b.Run(name, func(b *testing.B) {
+			ev, err := billing.NewEvaluator(c)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = c.Cost(load, 15*units.Megawatt)
+				if _, err := ev.EvaluatePeriod(load, pctx); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

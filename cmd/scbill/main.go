@@ -22,7 +22,7 @@
 //
 // Dynamic tariffs price against -feed, a "timestamp,price_per_kwh" CSV
 // (or .json price file); without it they fall back to a flat reference
-// feed at 0.045/kWh over the profile span.
+// feed at 0.045/kWh (contract.FlatFeedRate).
 //
 // With -trace the bill is computed through the engine's traced
 // evaluation path and a per-span timing table (count, total, mean for
@@ -177,11 +177,10 @@ func runBatch(dir, loadPath, feedPath string, baseMW, peakRatio float64, days in
 // priceFeed resolves the dynamic-tariff price series: the -feed file
 // when given (strictly parsed — NaN/Inf prices and broken timestamp
 // grids are rejected with line numbers), else the flat reference feed
-// over the profile span (real deployments would pass market data).
+// (real deployments would pass market data).
 func priceFeed(path string, load *timeseries.PowerSeries) (*timeseries.PriceSeries, error) {
 	if path == "" {
-		return timeseries.ConstantPrice(load.Start(), time.Hour,
-			int(load.End().Sub(load.Start())/time.Hour)+1, 0.045), nil
+		return contract.FlatFeed(load.Start(), contract.FlatFeedRate), nil
 	}
 	return (&feed.File{Path: path}).Fetch(context.Background(), load.Start(), load.End())
 }

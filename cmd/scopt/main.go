@@ -202,9 +202,7 @@ func buildEngine(cfg cliConfig, load *timeseries.PowerSeries) (*contract.Engine,
 		if err != nil {
 			return nil, err
 		}
-		feed := timeseries.ConstantPrice(load.Start(), time.Hour,
-			int(load.End().Sub(load.Start())/time.Hour)+1, 0.045)
-		c, err = spec.Build(contract.BuildContext{Feed: feed})
+		c, err = spec.Build(contract.BuildContext{Feed: contract.FlatFeed(load.Start(), contract.FlatFeedRate)})
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/market"
 	"repro/internal/report"
-	"repro/internal/timeseries"
 	"repro/internal/units"
 )
 
@@ -91,8 +90,7 @@ func run(planPath, contractPath string, baseMW float64, stressCount, emergencies
 		return err
 	}
 	start := time.Date(2016, time.September, 1, 0, 0, 0, 0, time.UTC)
-	feed := timeseries.ConstantPrice(start, time.Hour, 31*24, 0.045)
-	c, err := cSpec.Build(contract.BuildContext{Feed: feed})
+	c, err := cSpec.Build(contract.BuildContext{Feed: contract.FlatFeed(start, contract.FlatFeedRate)})
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/market"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/timeseries"
 	"repro/internal/units"
 )
 
@@ -143,8 +142,7 @@ func run(machineName string, spanHours int, utilization float64, policy string,
 		if err != nil {
 			return err
 		}
-		feed := timeseries.ConstantPrice(start, time.Hour, spanHours+1, 0.045)
-		c, err := spec.Build(contract.BuildContext{Feed: feed})
+		c, err := spec.Build(contract.BuildContext{Feed: contract.FlatFeed(start, contract.FlatFeedRate)})
 		if err != nil {
 			return err
 		}

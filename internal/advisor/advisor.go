@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/billing"
 	"repro/internal/contract"
 	"repro/internal/demand"
 	"repro/internal/timeseries"
@@ -114,7 +115,15 @@ func FitPowerband(load *timeseries.PowerSeries, penalty units.EnergyPrice, budge
 		if err != nil {
 			return nil, err
 		}
-		if band.Cost(load) <= budget {
+		ev, err := billing.NewEvaluator(band)
+		if err != nil {
+			return nil, err
+		}
+		res, err := ev.EvaluatePeriod(load, billing.PeriodContext{})
+		if err != nil {
+			return nil, err
+		}
+		if res.Total <= budget {
 			return band, nil
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/billing"
 	"repro/internal/contract"
 	"repro/internal/demand"
 	"repro/internal/hpc"
@@ -113,8 +114,8 @@ func TestFitPowerband(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if band.Cost(load) > units.CurrencyUnits(1000) {
-		t.Errorf("fitted band cost %v exceeds budget", band.Cost(load))
+	if cost := bandCost(t, band, load); cost > units.CurrencyUnits(1000) {
+		t.Errorf("fitted band cost %v exceeds budget", cost)
 	}
 	// The band must be meaningfully tighter than the peak when budget
 	// allows some violations.
@@ -127,9 +128,23 @@ func TestFitPowerband(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tight.Cost(load) != 0 {
-		t.Errorf("zero-budget band cost = %v", tight.Cost(load))
+	if cost := bandCost(t, tight, load); cost != 0 {
+		t.Errorf("zero-budget band cost = %v", cost)
 	}
+}
+
+// bandCost bills the load as one period through the band's kernel.
+func bandCost(t *testing.T, band *demand.Powerband, load *timeseries.PowerSeries) units.Money {
+	t.Helper()
+	ev, err := billing.NewEvaluator(band)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ev.EvaluatePeriod(load, billing.PeriodContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Total
 }
 
 func TestFitPowerbandValidation(t *testing.T) {

@@ -19,10 +19,11 @@
 // charge's sequential dependency on the historical peak is resolved by
 // a cheap peak prescan before the parallel phase.
 //
-// The engine is arithmetic-identical to the per-component path: every
-// scanner performs the same floating-point operations in the same order
-// as the component's standalone Cost method, so line amounts match to
-// the micro-currency-unit (see contract's golden equivalence tests).
+// The engine is arithmetic-identical to the legacy oracle,
+// contract.ComputeBillLegacy: every scanner performs the same
+// floating-point operations in the same order as the oracle's pricing
+// of that component, so line amounts match to the micro-currency-unit
+// (see contract's golden equivalence tests).
 package billing
 
 import (

@@ -11,9 +11,9 @@ package billing
 //
 // The compilation contract is strict arithmetic identity: a scanner
 // must perform the same floating-point operations in the same order as
-// the component's standalone Cost method, so the engine is
-// byte-identical to the legacy multi-pass path bill-for-bill (pinned by
-// contract's golden tests).
+// the legacy oracle (contract.ComputeBillLegacy) prices its component,
+// so the engine is byte-identical to that multi-pass path bill-for-bill
+// (pinned by contract's golden tests).
 
 import (
 	"time"

@@ -102,6 +102,17 @@ type BuildContext struct {
 	Holidays *calendar.HolidayCalendar
 }
 
+// FlatFeedRate is the price per kWh of the flat reference feed that
+// dynamic tariffs bill against when no market data is supplied.
+const FlatFeedRate = 0.045
+
+// FlatFeed returns a flat reference feed at rate: one hourly sample
+// from start. A dynamic tariff clamps at its feed's edges, so that one
+// sample prices every instant of any load alike.
+func FlatFeed(start time.Time, rate units.EnergyPrice) *timeseries.PriceSeries {
+	return timeseries.ConstantPrice(start, time.Hour, 1, rate)
+}
+
 // Build turns the spec into an executable Contract.
 func (s *Spec) Build(ctx BuildContext) (*Contract, error) {
 	if s.Name == "" {

@@ -125,26 +125,6 @@ func PeakShaveSweep(c *contract.Contract, load *timeseries.PowerSeries, fraction
 	return out, nil
 }
 
-// TariffComparison prices the same load under several tariffs — the E10
-// harness core (fixed vs TOU vs dynamic exposure).
-type TariffComparison struct {
-	Kind tariff.Kind
-	Name string
-	Cost units.Money
-}
-
-// CompareTariffs bills the load under each tariff.
-func CompareTariffs(load *timeseries.PowerSeries, tariffs ...tariff.Tariff) ([]TariffComparison, error) {
-	if len(tariffs) == 0 {
-		return nil, errors.New("core: need at least one tariff to compare")
-	}
-	out := make([]TariffComparison, 0, len(tariffs))
-	for _, t := range tariffs {
-		out = append(out, TariffComparison{Kind: t.Kind(), Name: t.Describe(), Cost: t.Cost(load)})
-	}
-	return out, nil
-}
-
 // BreakEvenIncentive finds, by bisection, the per-kWh DR energy
 // incentive at which participating with the given strategy becomes
 // profitable (net benefit crosses zero). Returns an error if even the

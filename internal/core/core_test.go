@@ -151,29 +151,6 @@ func TestPeakShaveSweepErrors(t *testing.T) {
 	}
 }
 
-func TestCompareTariffs(t *testing.T) {
-	load := peakyLoad()
-	fixed := tariff.MustNewFixed(0.10)
-	tou := tariff.MustNewTOU(calendar.DayNight(8, 20, nil),
-		map[string]units.EnergyPrice{"peak": 0.15, "offpeak": 0.05})
-	results, err := CompareTariffs(load, fixed, tou)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	if results[0].Kind != tariff.Fixed || results[1].Kind != tariff.TimeOfUse {
-		t.Error("kinds preserved in order")
-	}
-	if results[0].Cost != fixed.Cost(load) {
-		t.Error("cost mismatch")
-	}
-	if _, err := CompareTariffs(load); err == nil {
-		t.Error("no tariffs should fail")
-	}
-}
-
 func TestBreakEvenIncentive(t *testing.T) {
 	// Flat load so the cap does not touch the demand charge: the only
 	// benefit is the incentive, the only cost is op cost — break-even

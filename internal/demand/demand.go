@@ -150,11 +150,6 @@ func (c *Charge) BilledDemand(load *timeseries.PowerSeries, historicalPeak units
 	}
 }
 
-// Cost returns the period's demand-charge cost.
-func (c *Charge) Cost(load *timeseries.PowerSeries, historicalPeak units.Power) units.Money {
-	return c.Price.Cost(c.BilledDemand(load, historicalPeak))
-}
-
 // UsesHistoricalPeak reports whether the charge's billed demand reads
 // the period's historical peak — only the ratchet method does. This is
 // the billing.HistoricalPeakUser hook the incremental month evaluator
@@ -287,11 +282,6 @@ func (b *Powerband) Violations(load *timeseries.PowerSeries) []Excursion {
 	}
 	flush()
 	return out
-}
-
-// Cost returns the total penalty for all excursions in the profile.
-func (b *Powerband) Cost(load *timeseries.PowerSeries) units.Money {
-	return b.CostOfViolations(b.Violations(load))
 }
 
 // CostOfViolations prices an excursion list already produced by

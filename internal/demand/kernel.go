@@ -4,11 +4,11 @@ package demand
 // O(1)/O(N-peaks) state, so their scanners walk contiguous sample
 // chunks directly, with a fast single-peak loop when no top-N tracker
 // is needed. Arithmetic is kept operation-for-operation identical to
-// BilledDemand and Violations/Cost: the N-peak tracker keeps the same
-// (power desc, earlier-index-wins) order TopN sorts by and sums the
-// clamped peaks in that order; the excursion tracker accumulates excess
-// energy per contiguous run and rounds once per excursion, as Cost
-// does.
+// the legacy oracle's BilledDemand and Violations/CostOfViolations: the
+// N-peak tracker keeps the same (power desc, earlier-index-wins) order
+// TopN sorts by and sums the clamped peaks in that order; the excursion
+// tracker accumulates excess energy per contiguous run and rounds once
+// per excursion, as CostOfViolations does.
 
 import (
 	"strconv"

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/billing"
 	"repro/internal/demand"
 	"repro/internal/hpc"
 	"repro/internal/report"
@@ -74,11 +75,23 @@ func RunE20() (*E20Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ev, err := billing.NewEvaluator(band)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := ev.EvaluatePeriod(load, billing.PeriodContext{})
+	if err != nil {
+		return nil, err
+	}
+	kept, err := ev.EvaluatePeriod(res.Net, billing.PeriodContext{})
+	if err != nil {
+		return nil, err
+	}
 	return &E20Result{
 		RawCompliance:  band.ComplianceRatio(load),
-		RawPenalty:     band.Cost(load),
+		RawPenalty:     raw.Total,
 		KeptCompliance: band.ComplianceRatio(res.Net),
-		KeptPenalty:    band.Cost(res.Net),
+		KeptPenalty:    kept.Total,
 		Cycles:         res.EquivalentFullCycles,
 	}, nil
 }

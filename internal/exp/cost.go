@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/billing"
 	"repro/internal/contract"
 	"repro/internal/demand"
 	"repro/internal/hpc"
@@ -112,6 +113,10 @@ func SweepE3(excursionCounts []int) ([]E3Point, error) {
 	if err != nil {
 		return nil, err
 	}
+	ev, err := billing.NewEvaluator(dc, band)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]E3Point, 0, len(excursionCounts))
 	for _, n := range excursionCounts {
 		samples := make([]units.Power, 30*96) // a 15-min-metered month
@@ -129,10 +134,14 @@ func SweepE3(excursionCounts []int) ([]E3Point, error) {
 		if err != nil {
 			return nil, err
 		}
+		res, err := ev.EvaluatePeriod(load, billing.PeriodContext{})
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, E3Point{
 			Excursions:    n,
-			DemandCharge:  dc.Cost(load, 0),
-			PowerbandCost: band.Cost(load),
+			DemandCharge:  res.Lines[0].Amount,
+			PowerbandCost: res.Lines[1].Amount,
 		})
 	}
 	return out, nil

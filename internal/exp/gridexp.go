@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/billing"
 	"repro/internal/calendar"
 	"repro/internal/dr"
 	"repro/internal/grid"
@@ -242,12 +243,24 @@ func SweepE10() ([]E10Point, error) {
 
 	var out []E10Point
 	for _, t := range []tariff.Tariff{fixed, tou, dyn} {
+		ev, err := billing.NewEvaluator(tariff.Producer(t))
+		if err != nil {
+			return nil, err
+		}
+		base, err := ev.EvaluatePeriod(load, billing.PeriodContext{})
+		if err != nil {
+			return nil, err
+		}
+		moved, err := ev.EvaluatePeriod(shifted, billing.PeriodContext{})
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, E10Point{
 			Tariff:       t.Describe(),
 			Kind:         t.Kind(),
-			BaselineCost: t.Cost(load),
-			ShiftedCost:  t.Cost(shifted),
-			Savings:      t.Cost(load) - t.Cost(shifted),
+			BaselineCost: base.Total,
+			ShiftedCost:  moved.Total,
+			Savings:      base.Total - moved.Total,
 		})
 	}
 	return out, nil

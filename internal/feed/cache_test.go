@@ -200,6 +200,22 @@ func TestCachedRecoversAfterOutage(t *testing.T) {
 	if res := c.Prices(context.Background(), windowA[0], windowA[1]); res.State != Stale {
 		t.Fatalf("during outage: %+v", res)
 	}
+	// The stale answer kicked a background refresh. Let its one attempt
+	// fail against the outage before the upstream heals, or it could
+	// store the recovered series beside the foreground fetch below.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.mu.Lock()
+		refreshing := c.refreshing
+		c.mu.Unlock()
+		if !refreshing {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("background refresh never finished its attempt")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	p.setFail(nil)
 	clock.Advance(time.Minute)
 	res := c.Prices(context.Background(), windowA[0], windowA[1])

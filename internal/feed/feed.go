@@ -92,21 +92,15 @@ func (p *Static) Describe() string {
 // use when no market data is supplied.
 type Flat struct {
 	Rate units.EnergyPrice
-	// Interval is the synthesized sample spacing; <= 0 selects 1 h.
-	Interval time.Duration
 }
 
-// Fetch returns a constant series covering [start, end).
+// Fetch returns a constant hourly series covering [start, end).
 func (p *Flat) Fetch(_ context.Context, start, end time.Time) (*timeseries.PriceSeries, error) {
-	iv := p.Interval
-	if iv <= 0 {
-		iv = time.Hour
-	}
 	if !end.After(start) {
 		return nil, fmt.Errorf("feed: flat window [%s, %s) is empty", start, end)
 	}
-	n := int(end.Sub(start)/iv) + 1
-	return timeseries.ConstantPrice(start, iv, n, p.Rate), nil
+	n := int(end.Sub(start)/time.Hour) + 1
+	return timeseries.ConstantPrice(start, time.Hour, n, p.Rate), nil
 }
 
 // Describe returns a one-line description.

@@ -108,11 +108,18 @@ type Bid struct {
 	DemandCharge *demand.Charge
 }
 
-// EffectiveRate sums the variable values: the bid's energy price.
+// EffectiveRate sums the variable values: the bid's energy price. The
+// values are added in variable-name order, so a bid has one rate
+// whatever the map's iteration order.
 func (b *Bid) EffectiveRate() units.EnergyPrice {
+	names := make([]string, 0, len(b.Values))
+	for name := range b.Values {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var sum units.EnergyPrice
-	for _, v := range b.Values {
-		sum += v
+	for _, name := range names {
+		sum += b.Values[name]
 	}
 	return sum
 }
@@ -152,16 +159,36 @@ func (t *Tender) CheckCompliance(b *Bid) error {
 	return nil
 }
 
-// PriceBid returns the annual cost of the reference load under the bid.
+// PriceBid returns the annual cost of the reference load under the bid:
+// the bill of the contract the bid becomes, over the whole load as one
+// period.
 func (t *Tender) PriceBid(b *Bid) (units.Money, error) {
 	if err := t.CheckCompliance(b); err != nil {
 		return 0, err
 	}
-	cost := b.EffectiveRate().Cost(t.ReferenceLoad.Energy())
-	if b.DemandCharge != nil {
-		cost += b.DemandCharge.Cost(t.ReferenceLoad, 0)
+	c, err := bidContract(b.Bidder, b)
+	if err != nil {
+		return 0, err
 	}
-	return cost, nil
+	bill, err := contract.ComputeBill(c, t.ReferenceLoad, contract.BillingInput{})
+	if err != nil {
+		return 0, err
+	}
+	return bill.Total, nil
+}
+
+// bidContract is the contract a bid becomes: a fixed tariff at the
+// bid's effective rate, plus the bid's demand charge if it has one.
+func bidContract(name string, b *Bid) (*contract.Contract, error) {
+	ft, err := tariff.NewFixed(b.EffectiveRate())
+	if err != nil {
+		return nil, err
+	}
+	c := &contract.Contract{Name: name, Tariffs: []tariff.Tariff{ft}}
+	if b.DemandCharge != nil {
+		c.DemandCharges = append(c.DemandCharges, b.DemandCharge)
+	}
+	return c, nil
 }
 
 // ScoredBid is one evaluated offer.
@@ -215,20 +242,12 @@ func (t *Tender) Run(bids []*Bid) (*Outcome, error) {
 
 // WinnerContract converts the winning bid into an executable contract:
 // a fixed tariff at the bid's effective rate (plus the bid's demand
-// charge if the tender allowed one).
+// charge if the tender allowed one), the contract PriceBid priced.
 func (o *Outcome) WinnerContract(name string) (*contract.Contract, error) {
 	if o.Winner == nil {
 		return nil, errors.New("procurement: tender produced no winner")
 	}
-	ft, err := tariff.NewFixed(o.Winner.Bid.EffectiveRate())
-	if err != nil {
-		return nil, err
-	}
-	c := &contract.Contract{Name: name, Tariffs: []tariff.Tariff{ft}}
-	if o.Winner.Bid.DemandCharge != nil {
-		c.DemandCharges = append(c.DemandCharges, o.Winner.Bid.DemandCharge)
-	}
-	return c, nil
+	return bidContract(name, o.Winner.Bid)
 }
 
 // Savings compares the tender outcome against a status-quo contract on

@@ -128,6 +128,29 @@ func TestPriceBid(t *testing.T) {
 	if cost != units.CurrencyUnits(180000) {
 		t.Errorf("cost = %v, want 180,000", cost)
 	}
+	// A tender that allows demand charges bills the rider too: the
+	// flat 5 MW peak at 10/kW adds 50,000.
+	tender.DisallowDemandCharges = false
+	b.DemandCharge = demand.SimpleCharge(10)
+	cost, err = tender.PriceBid(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost != units.CurrencyUnits(230000) {
+		t.Errorf("cost with demand charge = %v, want 230,000", cost)
+	}
+}
+
+// The rate of a bid must not depend on the map's iteration order:
+// 0.1+0.2+0.3 and 0.3+0.2+0.1 differ in the last bit.
+func TestEffectiveRateDeterministic(t *testing.T) {
+	b := &Bid{Values: map[string]units.EnergyPrice{"a": 0.1, "b": 0.2, "c": 0.3}}
+	want := b.EffectiveRate()
+	for i := 0; i < 100; i++ {
+		if got := b.EffectiveRate(); got != want {
+			t.Fatalf("call %d: rate %v != first call's %v", i, float64(got), float64(want))
+		}
+	}
 }
 
 func TestRunTenderRanksByCost(t *testing.T) {

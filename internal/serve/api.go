@@ -37,10 +37,6 @@ const (
 	maxSyntheticSamples = 1 << 20
 )
 
-// defaultFlatFeedRate mirrors cmd/scbill: dynamic tariffs evaluated
-// without market data get a flat reference feed at this price.
-const defaultFlatFeedRate = 0.045
-
 // LoadSpec selects the load profile for a request: exactly one of the
 // fields must be set.
 type LoadSpec struct {
@@ -372,7 +368,7 @@ func (s *Server) engineForSpec(ctx context.Context, ps parsedSpec, feedSpec *Fee
 		// clamps at its feed's edges, so one sample prices every
 		// instant of any load alike: the engine depends on the rate
 		// alone, and the feed is built on a miss only.
-		flat = defaultFlatFeedRate
+		flat = contract.FlatFeedRate
 		if feedSpec != nil && feedSpec.FlatRatePerKWh > 0 {
 			flat = feedSpec.FlatRatePerKWh
 		}
@@ -394,7 +390,7 @@ func (s *Server) engineForSpec(ctx context.Context, ps parsedSpec, feedSpec *Fee
 		defer obs.Span(ctx, stageCompile)()
 		bc := contract.BuildContext{Feed: prices}
 		if flat > 0 {
-			bc.Feed = timeseries.ConstantPrice(load.Start(), time.Hour, 1, units.EnergyPrice(flat))
+			bc.Feed = contract.FlatFeed(load.Start(), units.EnergyPrice(flat))
 		}
 		c, err := spec.Build(bc)
 		if err != nil {

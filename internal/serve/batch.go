@@ -148,9 +148,10 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request, body []
 	}
 
 	// Per-item engine resolution. The LRU makes repeated (spec, feed)
-	// pairs compile once; the flat-feed key depends on the load span, so
-	// resolution is per item even in one-contract mode. Items resolving
-	// to the same (engine, load, feed resolution) share one evaluation.
+	// pairs compile once. A configured price feed is resolved over each
+	// item's load span, so resolution is per item even in one-contract
+	// mode. Items resolving to the same (engine, load, feed resolution)
+	// share one evaluation.
 	results := make([]batchItemResult, n)
 	pair := make([]int, n)
 	pairOf := make(map[batchPair]int, n)

@@ -25,7 +25,7 @@ func billInProcess(raw json.RawMessage, ls LoadSpec, req *BatchRequest, monthly 
 	}
 	var bctx contract.BuildContext
 	if specNeedsFeed(spec) {
-		rate := defaultFlatFeedRate
+		rate := contract.FlatFeedRate
 		if req.Feed != nil && req.Feed.FlatRatePerKWh > 0 {
 			rate = req.Feed.FlatRatePerKWh
 		}

@@ -162,7 +162,7 @@ func TestBillDegradesToFallback(t *testing.T) {
 	// The degraded total is exactly the declared fixed fallback: bill
 	// the fallback spec in process and compare.
 	load := namedLoad(t, "quickstart-month")
-	fb, err := dynamicSpec().FallbackSpec(defaultFlatFeedRate).Build(contract.BuildContext{})
+	fb, err := dynamicSpec().FallbackSpec(contract.FlatFeedRate).Build(contract.BuildContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

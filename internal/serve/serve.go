@@ -53,6 +53,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/contract"
 	"repro/internal/feed"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -93,7 +94,7 @@ type Config struct {
 	PriceFeed *feed.Cached
 	// FallbackRate is the fixed price dynamic tariffs bill at when the
 	// feed is degraded and the spec declares no fallback_rate of its
-	// own; <= 0 selects the flat reference rate (0.045/kWh).
+	// own; <= 0 selects the flat reference rate (contract.FlatFeedRate).
 	FallbackRate float64
 }
 
@@ -120,7 +121,7 @@ func (c Config) withDefaults() Config {
 		c.SlowRequest = time.Second
 	}
 	if c.FallbackRate <= 0 {
-		c.FallbackRate = defaultFlatFeedRate
+		c.FallbackRate = contract.FlatFeedRate
 	}
 	return c
 }

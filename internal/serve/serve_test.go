@@ -167,7 +167,7 @@ func TestBillEndpointMatchesInProcess(t *testing.T) {
 				Load:     LoadSpec{Profile: tc.profile},
 				Input:    tc.input,
 			}
-			rate := defaultFlatFeedRate
+			rate := contract.FlatFeedRate
 			if tc.rate > 0 {
 				req.Feed = &FeedSpec{FlatRatePerKWh: tc.rate}
 				rate = tc.rate

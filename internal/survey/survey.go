@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/contract"
-	"repro/internal/timeseries"
 )
 
 // Region is the coarse geography used by the study.
@@ -145,8 +144,7 @@ func Records() []SiteRecord {
 // need. DefaultBuildContext returns a flat reference feed suitable for
 // classification purposes.
 func DefaultBuildContext(start time.Time) contract.BuildContext {
-	feed := timeseries.ConstantPrice(start, time.Hour, 24*365, 0.045)
-	return contract.BuildContext{Feed: feed}
+	return contract.BuildContext{Feed: contract.FlatFeed(start, contract.FlatFeedRate)}
 }
 
 // BuildContract constructs the representative executable contract for a

@@ -91,12 +91,6 @@ func (t *CPPTariff) Cost(load *timeseries.PowerSeries) units.Money {
 	return costByPriceAt(t, load)
 }
 
-// CriticalCost returns only the premium paid because of critical
-// windows: Cost minus what the base tariff alone would have charged.
-func (t *CPPTariff) CriticalCost(load *timeseries.PowerSeries) units.Money {
-	return t.Cost(load) - t.base.Cost(load)
-}
-
 // Describe returns a one-line description.
 func (t *CPPTariff) Describe() string {
 	return fmt.Sprintf("critical-peak pricing @ %s over [%s], %d events declared",

@@ -87,10 +87,6 @@ func TestCPPPricing(t *testing.T) {
 	if got != want {
 		t.Errorf("cost = %v, want %v", got, want)
 	}
-	// Critical premium only.
-	if prem := cpp.CriticalCost(load); prem != units.CurrencyUnits(1200-80) {
-		t.Errorf("critical cost = %v", prem)
-	}
 	if !strings.Contains(cpp.Describe(), "critical-peak") {
 		t.Error("describe")
 	}
@@ -102,8 +98,5 @@ func TestCPPNoWindowsEqualsBase(t *testing.T) {
 	load := timeseries.ConstantPower(t0, time.Hour, 24, 5000)
 	if cpp.Cost(load) != base.Cost(load) {
 		t.Error("CPP without windows must equal the base tariff")
-	}
-	if cpp.CriticalCost(load) != 0 {
-		t.Error("no windows, no premium")
 	}
 }

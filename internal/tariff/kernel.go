@@ -1,13 +1,14 @@
 package tariff
 
 // Columnar kernels for the kWh branch. Every tariff compiles to a
-// billing.Kernel whose scanner reproduces the tariff's Cost arithmetic
-// exactly: a fixed tariff sums energy and rounds once; every other kind
-// prices and rounds per sample, in tariffScanner's one loop over a
-// priceWalk: a walk names the price of a sample and the first later
-// sample where it may change, so the loop prices a segment at a time
-// with no per-sample lookup. Each tariff compiles its own walk through
-// the unexported Tariff.walker, so every Tariff is one of this
+// billing.Kernel whose scanner reproduces the legacy oracle's
+// arithmetic (contract.ComputeBillLegacy, which prices a tariff through
+// its Cost) exactly: a fixed tariff sums energy and rounds once; every
+// other kind prices and rounds per sample, in tariffScanner's one loop
+// over a priceWalk: a walk names the price of a sample and the first
+// later sample where it may change, so the loop prices a segment at a
+// time with no per-sample lookup. Each tariff compiles its own walk
+// through the unexported Tariff.walker, so every Tariff is one of this
 // package's kinds and none is priced through PriceAt. The walks:
 //
 //   - TOU (touWalk): the schedule is lowered to a month × day-kind ×

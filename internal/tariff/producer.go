@@ -1,10 +1,10 @@
 package tariff
 
 // Billing-engine glue: every Tariff becomes a billing.LineItemProducer
-// whose kernel (kernel.go) reproduces the tariff's Cost method
-// arithmetic exactly — same floating-point operations in the same
-// order — while sharing the engine's single pass over the load series
-// instead of scanning it per component.
+// whose kernel (kernel.go) reproduces the legacy oracle's arithmetic
+// (contract.ComputeBillLegacy) exactly — same floating-point operations
+// in the same order — while sharing the engine's single pass over the
+// load series instead of scanning it per component.
 
 import (
 	"errors"

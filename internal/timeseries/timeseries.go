@@ -514,17 +514,3 @@ func (s *PriceSeries) Mean() units.EnergyPrice {
 	}
 	return units.EnergyPrice(sum / float64(len(s.samples)))
 }
-
-// CostOf integrates a power series against the price feed: each power
-// sample is billed at the price in effect at its interval start. The two
-// series need not be aligned; prices clamp at the feed's edges.
-func (s *PriceSeries) CostOf(load *PowerSeries) units.Money {
-	var total units.Money
-	h := load.Interval().Hours()
-	for i := 0; i < load.Len(); i++ {
-		price, _ := s.PriceAt(load.TimeAt(i))
-		e := units.Energy(float64(load.At(i)) * h)
-		total += price.Cost(e)
-	}
-	return total
-}

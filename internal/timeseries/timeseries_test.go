@@ -373,28 +373,6 @@ func TestPriceAtClamping(t *testing.T) {
 	}
 }
 
-func TestCostOf(t *testing.T) {
-	// 1 MW for 2 hours: first hour at 0.10, second at 0.30.
-	load := ConstantPower(t0, time.Hour, 2, 1000)
-	price := MustNewPrice(t0, time.Hour, []units.EnergyPrice{0.10, 0.30})
-	got := price.CostOf(load)
-	want := units.CurrencyUnits(100 + 300)
-	if got != want {
-		t.Errorf("CostOf = %v, want %v", got, want)
-	}
-}
-
-func TestCostOfMisalignedClamps(t *testing.T) {
-	// Load extends past price feed: trailing hours clamp to last price.
-	load := ConstantPower(t0, time.Hour, 4, 1000)
-	price := MustNewPrice(t0, time.Hour, []units.EnergyPrice{0.10})
-	got := price.CostOf(load)
-	want := units.CurrencyUnits(400)
-	if got != want {
-		t.Errorf("CostOf clamped = %v, want %v", got, want)
-	}
-}
-
 func TestConstantConstructors(t *testing.T) {
 	s := ConstantPower(t0, time.Hour, 5, 42)
 	for i := 0; i < 5; i++ {
