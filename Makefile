@@ -100,13 +100,14 @@ bench-json:
 	@echo "wrote $(BENCH_OUT)"
 
 # CI perf gate: rerun the billing benchmarks, plus one /v1/bill per
-# named profile and one dynamic-tariff year bill on the flat reference
-# feed through the service handler, into BENCH_current.json
+# named profile, one dynamic-tariff year bill on the flat reference
+# feed and one monthly batch of 16 named-profile loads through the
+# service handler, into BENCH_current.json
 # and fail on a >15% ns/op or >10% allocs/op regression of the gated
 # benchmarks (the engine year-bill and the optimizer search riding on
 # it) vs the committed BENCH_billing.json baseline. Only benchmarks the
 # baseline lists are gated; the rest are reported.
-BENCH_SET := BenchmarkBillYear|BenchmarkBillingYear|BenchmarkOptimizeYear|BenchmarkBillNamedProfile|BenchmarkBillDynamicFlat
+BENCH_SET := BenchmarkBillYear|BenchmarkBillingYear|BenchmarkOptimizeYear|BenchmarkBillNamedProfile|BenchmarkBillDynamicFlat|BenchmarkBillBatchMonthly
 BENCH_GATE := BillYearEngine|OptimizeYear
 BENCH_THRESHOLD := 0.15
 BENCH_ALLOC_THRESHOLD := 0.10
@@ -194,8 +195,9 @@ chaos:
 # the one-pass request decoder against json.Decoder, the router's key
 # against the spec the backend bills), the router's
 # forward plan against its invariants, the columnar kernels against the
-# legacy oracle, the optimizer's safety envelope, and its level solves
-# against the 52-step bisections.
+# legacy oracle, the bill appender against encoding/json's rendering,
+# the optimizer's safety envelope, and its level solves against the
+# 52-step bisections.
 fuzz:
 	$(GO) test ./internal/timeseries/ -fuzz FuzzReadPowerCSV -fuzztime 20s
 	$(GO) test ./internal/timeseries/ -fuzz FuzzResampleWindow -fuzztime 20s
@@ -207,6 +209,7 @@ fuzz:
 	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzRoutingKey -fuzztime 20s
 	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzPlan -fuzztime 20s
 	$(GO) test ./internal/contract/ -run '^$$' -fuzz FuzzColumnarEquivalence -fuzztime 20s
+	$(GO) test ./internal/contract/ -run '^$$' -fuzz FuzzBillJSON -fuzztime 20s
 	$(GO) test ./internal/optimize/ -run '^$$' -fuzz FuzzOptimizeFeasible -fuzztime 20s
 	$(GO) test ./internal/optimize/ -run '^$$' -fuzz FuzzLevelSolve -fuzztime 20s
 

@@ -491,6 +491,45 @@ func BenchmarkBillNamedProfile(b *testing.B) {
 	}
 }
 
+// BenchmarkBillBatchMonthly sends one /v1/bill/batch?monthly=1 per op
+// through the service handler: one contract against 16 named-profile
+// loads, the three profiles repeated, so each op bills three distinct
+// pairs month by month and renders sixteen items. The engine is
+// compiled before the timer starts; the encode of the months and the
+// envelope is a large share of every op.
+func BenchmarkBillBatchMonthly(b *testing.B) {
+	h := serve.NewServer(serve.Config{}).Handler()
+	names := make([]string, 0, 3)
+	for name := range serve.NamedProfiles() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var body bytes.Buffer
+	body.WriteString(`{"contract":{"name":"bench-batch","tariffs":[{"type":"fixed","rate":0.085}],` +
+		`"demand_charges":[{"price_per_kw":12,"method":"n-peak-average","n_peaks":3}],` +
+		`"powerbands":[{"upper_kw":18000,"over_penalty":0.4}],"fees":[{"name":"meter fee","amount":450}]},"loads":[`)
+	for i := 0; i < 16; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		body.WriteString(`{"profile":"` + names[i%len(names)] + `"}`)
+	}
+	body.WriteString(`]}`)
+	batch := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/bill/batch?monthly=1", bytes.NewReader(body.Bytes())))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%d %s", rec.Code, rec.Body)
+		}
+	}
+	batch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch()
+	}
+}
+
 // BenchmarkBillDynamicFlat sends one year-in-life /v1/bill per op with
 // a dynamic tariff and no configured price feed, so the engine prices
 // against the flat reference feed; the engine is compiled before the

@@ -619,7 +619,7 @@ func (rt *Router) win(w http.ResponseWriter, r *http.Request, at *attempt) {
 	}
 	copyHeader(w.Header(), at.resp.Header)
 	w.WriteHeader(at.resp.StatusCode)
-	_, relayErr := io.Copy(w, at.resp.Body)
+	_, relayErr := relay(w, at.resp.Body)
 	// The backend served us fine either way: a relay error means the
 	// CLIENT hung up mid-copy, which must not eject the backend.
 	settle(at)
@@ -628,6 +628,25 @@ func (rt *Router) win(w http.ResponseWriter, r *http.Request, at *attempt) {
 	}
 	rt.metrics.observeRequest(r.URL.Path, at.resp.StatusCode)
 }
+
+// relayBuffer is the size of the buffer a response body is relayed
+// through: io.Copy's.
+const relayBuffer = 32 << 10
+
+// relay copies a backend's response body to the client through a
+// buffer from wire's pools. The writer is wrapped so that io.CopyBuffer
+// cannot hand the copy to http.response's ReadFrom: past the first 512
+// bytes of a response with a Content-Length, that goes on to
+// net.TCPConn's, whose generic path makes a fresh 32 KB buffer for
+// every response.
+func relay(w io.Writer, body io.Reader) (int64, error) {
+	buf := wire.GetBuffer(relayBuffer)
+	defer wire.ReleaseBuffer(buf)
+	return io.CopyBuffer(writerOnly{w}, body, (*buf)[:cap(*buf)])
+}
+
+// writerOnly hides every method of a writer but Write.
+type writerOnly struct{ io.Writer }
 
 // cancelAndDrain cancels every started attempt but the winner and
 // settles the pending outcomes still to arrive on a background

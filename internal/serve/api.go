@@ -8,7 +8,6 @@ package serve
 // produces — so CLI pipelines and the service are interchangeable.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,6 +26,7 @@ import (
 	"repro/internal/survey"
 	"repro/internal/timeseries"
 	"repro/internal/units"
+	"repro/internal/wire"
 )
 
 // Synthetic loads are bounded like inline ones, which
@@ -418,23 +418,14 @@ func (s *Server) noteFeed(w http.ResponseWriter, fr feedResolution) {
 	}
 }
 
-// markDegraded splices "degraded": true and the reason into a rendered
-// bill without re-marshalling, so non-degraded responses stay byte-
-// identical to contract.Bill.JSON().
-func markDegraded(data []byte, reason string) []byte {
-	i := bytes.LastIndexByte(data, '}')
-	if i < 0 {
-		return data
-	}
-	reasonJSON, _ := json.Marshal(reason)
-	var b bytes.Buffer
-	b.Grow(len(data) + len(reasonJSON) + 64)
-	b.Write(bytes.TrimRight(data[:i], " \t\n"))
-	b.WriteString(",\n  \"degraded\": true,\n  \"degraded_reason\": ")
-	b.Write(reasonJSON)
-	b.WriteString("\n}")
-	b.Write(data[i+1:])
-	return b.Bytes()
+// appendDegraded reopens the JSON object dst ends with, a top-level
+// object as MarshalIndent and the appenders close it ("\n}"), and
+// closes it again after "degraded": true and the reason, so a degraded
+// answer carries the marker without re-rendering what came before it.
+func appendDegraded(dst []byte, reason string) []byte {
+	dst = append(dst[:len(dst)-len("\n}")], ",\n  \"degraded\": true,\n  \"degraded_reason\": "...)
+	dst = wire.AppendString(dst, reason)
+	return append(dst, "\n}"...)
 }
 
 func (s *Server) handleBill(w http.ResponseWriter, r *http.Request, body []byte) {
@@ -461,7 +452,7 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request, body []byte)
 
 	// Rendered as one batch item: the same status mapping and bytes as
 	// /v1/bill/batch, plus the trailing newline writeError and the
-	// monthly body end in.
+	// monthly body end in, in one pooled buffer and one Write.
 	monthly := r.URL.Query().Get("monthly") == "1"
 	var out contract.BatchOutcome
 	endEval := obs.Span(r.Context(), stageEvaluate)
@@ -474,45 +465,94 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request, body []byte)
 	if out.Err == nil {
 		defer obs.Span(r.Context(), stageEncode)()
 	}
-	res := s.encodeBatchItem(eng, out, feedRes, monthly)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
-	if monthly || res.status != http.StatusOK {
-		_, _ = w.Write([]byte("\n"))
+	buf := wire.GetBuffer(outcomeSizeHint(out))
+	dst, status := appendOutcome((*buf)[:0], eng, out, feedRes, monthly)
+	if monthly || status != http.StatusOK {
+		dst = append(dst, '\n')
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(dst)
+	*buf = dst
+	wire.ReleaseBuffer(buf)
 }
 
-// monthlyBillBody renders the monthly-billing response object — the
+// appendOutcome appends the body one evaluated (engine, load) pair
+// answers with and returns its status: the bill, or the monthly
+// object, marked when the feed resolution is degraded, or the error
+// body of the evaluation or encoding failure. These are the exact
+// bytes /v1/bill serves before its trailing newline, and what a batch
+// item embeds.
+func appendOutcome(dst []byte, eng *contract.Engine, out contract.BatchOutcome, fr feedResolution, monthly bool) ([]byte, int) {
+	if out.Err != nil {
+		status, msg := evalError(out.Err)
+		return appendErrorBody(dst, msg), status
+	}
+	var err error
+	if monthly {
+		dst, err = appendMonthlyBody(dst, eng, out.Months, fr)
+	} else if dst, err = out.Bill.AppendJSON(dst, ""); err == nil && fr.degraded() {
+		dst = appendDegraded(dst, fr.reason)
+	}
+	if err != nil {
+		return appendErrorBody(dst, err.Error()), http.StatusInternalServerError
+	}
+	return dst, http.StatusOK
+}
+
+// outcomeSizeHint estimates the bytes appendOutcome writes for out, so
+// the buffer it borrows seldom has to grow.
+func outcomeSizeHint(out contract.BatchOutcome) int {
+	n := 128 + billSizeHint(out.Bill)
+	for _, b := range out.Months {
+		n += billSizeHint(b)
+	}
+	return n
+}
+
+func billSizeHint(b *contract.Bill) int {
+	if b == nil {
+		return 0
+	}
+	return 320 + len(b.Contract) + 200*len(b.Lines)
+}
+
+// appendMonthlyBody appends the monthly-billing response object — the
 // exact bytes /v1/bill?monthly=1 serves before its trailing newline,
 // shared with the batch endpoint so per-item batch bodies stay
-// byte-identical to sequential responses.
-func monthlyBillBody(eng *contract.Engine, bills []*contract.Bill, fr feedResolution) ([]byte, error) {
-	months := make([]json.RawMessage, len(bills))
+// byte-identical to sequential responses. On an encoding error it
+// returns dst as it was.
+func appendMonthlyBody(dst []byte, eng *contract.Engine, bills []*contract.Bill, fr feedResolution) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, "{\n  \"contract\": "...)
+	dst = wire.AppendString(dst, eng.Contract().Name)
+	dst = append(dst, ",\n  \"months\": ["...)
 	for i, b := range bills {
-		data, err := b.JSON()
-		if err != nil {
-			return nil, err
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		months[i] = data
+		dst = append(dst, "\n    "...)
+		var err error
+		if dst, err = b.AppendJSON(dst, "    "); err != nil {
+			return dst[:start], err
+		}
 	}
-	return json.MarshalIndent(struct {
-		Contract       string            `json:"contract"`
-		Months         []json.RawMessage `json:"months"`
-		GrandTotal     float64           `json:"grand_total"`
-		Degraded       bool              `json:"degraded,omitempty"`
-		DegradedReason string            `json:"degraded_reason,omitempty"`
-	}{eng.Contract().Name, months, contract.TotalOf(bills).Float(),
-		fr.degraded(), degradedReason(fr)}, "", "  ")
-}
-
-// degradedReason returns the reason only for degraded resolutions, so
-// omitempty drops the field from healthy responses.
-func degradedReason(fr feedResolution) string {
+	if len(bills) > 0 {
+		dst = append(dst, "\n  "...)
+	}
+	dst = append(dst, "],\n  \"grand_total\": "...)
+	dst, err := wire.AppendFloat(dst, contract.TotalOf(bills).Float())
+	if err != nil {
+		return dst[:start], err
+	}
 	if fr.degraded() {
-		return fr.reason
+		dst = append(dst, ",\n  \"degraded\": true"...)
+		if fr.reason != "" {
+			dst = append(dst, ",\n  \"degraded_reason\": "...)
+			dst = wire.AppendString(dst, fr.reason)
+		}
 	}
-	return ""
+	return append(dst, "\n}"...), nil
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request, body []byte) {

@@ -11,13 +11,13 @@ package serve
 // distinct pair, not per item. Inline csv/series loads are never
 // compared by content (their decode is already paid), and nothing is
 // kept across requests. Every item's body is byte-identical to what a
-// sequential /v1/bill call with the same inputs would have returned —
-// the envelope is assembled by hand so rendered bills embed verbatim,
-// never re-marshalled — and degraded feed resolutions mark only the
-// items they affected.
+// sequential /v1/bill call with the same inputs would have returned:
+// the envelope and the bills in it are written in one pass into one
+// pooled buffer, each distinct pair's item once, and repeated items copy
+// its bytes. Degraded feed resolutions mark only the items they
+// affected.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,6 +28,7 @@ import (
 	"repro/internal/contract"
 	"repro/internal/obs"
 	"repro/internal/timeseries"
+	"repro/internal/wire"
 )
 
 // maxBatchItems bounds one batch request: enough for a year of monthly
@@ -78,18 +79,12 @@ func (req *BatchRequest) shape() (specs []json.RawMessage, loads []LoadSpec, err
 	return specs, loads, nil
 }
 
-// batchItemResult is one item's rendered outcome.
-type batchItemResult struct {
-	status   int
-	degraded bool
-	body     []byte
-}
-
-func batchErrorBody(msg string) []byte {
-	data, _ := json.Marshal(struct {
-		Error string `json:"error"`
-	}{msg})
-	return data
+// appendErrorBody appends the {"error": msg} body an item that failed
+// carries, as json.Marshal renders it.
+func appendErrorBody(dst []byte, msg string) []byte {
+	dst = append(dst, `{"error":`...)
+	dst = wire.AppendString(dst, msg)
+	return append(dst, '}')
 }
 
 // evalError maps an evaluation error onto a status and message:
@@ -152,8 +147,8 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request, body []
 	// item's load span, so resolution is per item even in one-contract
 	// mode. Items resolving to the same (engine, load, feed resolution)
 	// share one evaluation.
-	results := make([]batchItemResult, n)
-	pair := make([]int, n)
+	pair := make([]int, n)      // the distinct pair item i bills, or -1
+	failed := make([]string, n) // why item i failed before evaluation
 	pairOf := make(map[batchPair]int, n)
 	var items []contract.BatchItem
 	var frs []feedResolution
@@ -166,15 +161,16 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request, body []
 		if len(loadSpecs) > 1 {
 			li = i
 		}
+		pair[i] = -1
 		switch {
 		case specErrs[si] != nil:
-			results[i] = batchItemResult{status: http.StatusBadRequest, body: batchErrorBody(specErrs[si].Error())}
+			failed[i] = specErrs[si].Error()
 		case loadErrs[li] != nil:
-			results[i] = batchItemResult{status: http.StatusBadRequest, body: batchErrorBody(loadErrs[li].Error())}
+			failed[i] = loadErrs[li].Error()
 		default:
 			eng, fr, err := s.engineForSpec(r.Context(), parsed[si], req.Feed, loads[li])
 			if err != nil {
-				results[i] = batchItemResult{status: http.StatusBadRequest, body: batchErrorBody(err.Error())}
+				failed[i] = err.Error()
 				continue
 			}
 			worst = worst.worse(fr)
@@ -203,24 +199,87 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request, body []
 	})
 	endEval()
 
-	// Encode each distinct pair once: exactly the bytes a sequential
-	// /v1/bill response would carry (markDegraded splice included),
-	// shared by every item that maps to it.
-	encoded := make([]batchItemResult, len(items))
-	for d := range items {
-		endEncode := obs.Span(r.Context(), stageBatchEncode)
-		encoded[d] = s.encodeBatchItem(items[d].Engine, outcomes[d], frs[d], monthly)
-		endEncode()
-	}
-	for i := range results {
-		if results[i].status == 0 {
-			results[i] = encoded[pair[i]]
-		}
-	}
-
 	s.noteFeed(w, worst)
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(renderBatchEnvelope(results))
+	buf := wire.GetBuffer(batchSizeHint(outcomes, pair))
+	dst := appendBatch(r.Context(), (*buf)[:0], items, outcomes, frs, pair, failed, monthly)
+	_, _ = w.Write(dst)
+	*buf = dst
+	wire.ReleaseBuffer(buf)
+}
+
+// appendBatch appends the batch envelope in one pass. Each distinct
+// pair's item is encoded once, when its first item comes up: exactly
+// the bytes a sequential /v1/bill response would carry, degraded
+// marker included. Every later item of the pair copies those bytes.
+func appendBatch(ctx context.Context, dst []byte, items []contract.BatchItem, outcomes []contract.BatchOutcome,
+	frs []feedResolution, pair []int, failed []string, monthly bool) []byte {
+	dst = append(dst, "{\n  \"count\": "...)
+	dst = strconv.AppendInt(dst, int64(len(pair)), 10)
+	dst = append(dst, ",\n  \"items\": ["...)
+	rendered := make([]struct{ start, end int }, len(items)) // each pair's item in dst, once written
+	for i, d := range pair {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		switch {
+		case d < 0:
+			dst = appendItemHead(dst, http.StatusBadRequest, false)
+			dst = append(appendErrorBody(dst, failed[i]), '}')
+		case rendered[d].end > 0:
+			dst = append(dst, dst[rendered[d].start:rendered[d].end]...)
+		default:
+			endEncode := obs.Span(ctx, stageBatchEncode)
+			start := len(dst)
+			dst = appendPairItem(dst, items[d].Engine, outcomes[d], frs[d], monthly)
+			rendered[d].start, rendered[d].end = start, len(dst)
+			endEncode()
+		}
+	}
+	return append(dst, "\n  ]\n}\n"...)
+}
+
+// appendItemHead opens one envelope item, up to its body.
+func appendItemHead(dst []byte, status int, degraded bool) []byte {
+	dst = append(dst, "\n    {\"status\": "...)
+	dst = strconv.AppendInt(dst, int64(status), 10)
+	if degraded {
+		dst = append(dst, ", \"degraded\": true"...)
+	}
+	return append(dst, ", \"body\": "...)
+}
+
+// appendPairItem appends the envelope item of one evaluated pair. The
+// head is written before the body, for the status the outcome promises;
+// in the rare case that encoding then fails, the item is written again
+// around the error body.
+func appendPairItem(dst []byte, eng *contract.Engine, out contract.BatchOutcome, fr feedResolution, monthly bool) []byte {
+	start := len(dst)
+	status := http.StatusOK
+	if out.Err != nil {
+		status, _ = evalError(out.Err)
+	}
+	dst = appendItemHead(dst, status, status == http.StatusOK && fr.degraded())
+	body := len(dst)
+	dst, got := appendOutcome(dst, eng, out, fr, monthly)
+	if got != status {
+		errBody := append([]byte(nil), dst[body:]...)
+		dst = append(appendItemHead(dst[:start], got, false), errBody...)
+	}
+	return append(dst, '}')
+}
+
+// batchSizeHint estimates the envelope's bytes, so the buffer
+// handleBillBatch borrows seldom has to grow.
+func batchSizeHint(outcomes []contract.BatchOutcome, pair []int) int {
+	n := 64
+	for _, d := range pair {
+		n += 192
+		if d >= 0 {
+			n += outcomeSizeHint(outcomes[d])
+		}
+	}
+	return n
 }
 
 // generatedLoad identifies a load the server generates from request
@@ -256,57 +315,4 @@ func generatedLoadKey(ls LoadSpec) (generatedLoad, bool) {
 type batchPair struct {
 	item contract.BatchItem
 	fr   feedResolution
-}
-
-// encodeBatchItem renders one evaluated item.
-func (s *Server) encodeBatchItem(eng *contract.Engine, out contract.BatchOutcome, fr feedResolution, monthly bool) batchItemResult {
-	if out.Err != nil {
-		status, msg := evalError(out.Err)
-		return batchItemResult{status: status, body: batchErrorBody(msg)}
-	}
-	if monthly {
-		body, err := monthlyBillBody(eng, out.Months, fr)
-		if err != nil {
-			return batchItemResult{status: http.StatusInternalServerError, body: batchErrorBody(err.Error())}
-		}
-		return batchItemResult{status: http.StatusOK, degraded: fr.degraded(), body: body}
-	}
-	body, err := out.Bill.JSON()
-	if err != nil {
-		return batchItemResult{status: http.StatusInternalServerError, body: batchErrorBody(err.Error())}
-	}
-	if fr.degraded() {
-		body = markDegraded(body, fr.reason)
-	}
-	return batchItemResult{status: http.StatusOK, degraded: fr.degraded(), body: body}
-}
-
-// renderBatchEnvelope assembles the response by hand so item bodies
-// embed verbatim — encoding/json would re-indent the nested documents
-// and break per-item byte identity with sequential responses.
-func renderBatchEnvelope(results []batchItemResult) []byte {
-	var buf bytes.Buffer
-	total := 0
-	for _, it := range results {
-		total += len(it.body)
-	}
-	buf.Grow(total + 64*len(results) + 64)
-	buf.WriteString("{\n  \"count\": ")
-	buf.WriteString(strconv.Itoa(len(results)))
-	buf.WriteString(",\n  \"items\": [")
-	for i, it := range results {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.WriteString("\n    {\"status\": ")
-		buf.WriteString(strconv.Itoa(it.status))
-		if it.degraded {
-			buf.WriteString(", \"degraded\": true")
-		}
-		buf.WriteString(", \"body\": ")
-		buf.Write(it.body)
-		buf.WriteByte('}')
-	}
-	buf.WriteString("\n  ]\n}\n")
-	return buf.Bytes()
 }

@@ -12,8 +12,9 @@ import (
 
 // billInProcess bills one batch item from scratch with the public calls
 // /v1/bill makes, sharing no load, parse, engine or encoding with the
-// batch path: the bytes a 200 item must carry on a server without a
-// configured price feed.
+// batch path, and rendered by the reference encoding/json path: the
+// bytes a 200 item must carry on a server without a configured price
+// feed.
 func billInProcess(raw json.RawMessage, ls LoadSpec, req *BatchRequest, monthly bool) ([]byte, error) {
 	load, err := resolveLoad(ls)
 	if err != nil {
@@ -45,13 +46,13 @@ func billInProcess(raw json.RawMessage, ls LoadSpec, req *BatchRequest, monthly 
 		if err != nil {
 			return nil, err
 		}
-		return monthlyBillBody(eng, bills, feedResolution{})
+		return referenceMonthly(eng.Contract().Name, bills, feedResolution{})
 	}
 	bill, err := eng.Bill(load, in)
 	if err != nil {
 		return nil, err
 	}
-	return bill.JSON()
+	return referenceBill(bill)
 }
 
 // FuzzBatchRequest drives arbitrary bodies through POST /v1/bill/batch.

@@ -148,13 +148,12 @@ func TestBatchItemErrorIsolation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, env, raw := postBatch(t, ts, "/v1/bill/batch", BatchRequest{
-		Contracts: []json.RawMessage{
-			specJSON(t, quickstartSpec()),
-			json.RawMessage(`{"name":"x","tariffs":[{"type":"warp"}]}`),
-		},
-		Load: &LoadSpec{Profile: "quickstart-month"},
-	})
+	specs := []json.RawMessage{
+		specJSON(t, quickstartSpec()),
+		json.RawMessage(`{"name":"x","tariffs":[{"type":"warp"}]}`),
+	}
+	load := LoadSpec{Profile: "quickstart-month"}
+	resp, env, raw := postBatch(t, ts, "/v1/bill/batch", BatchRequest{Contracts: specs, Load: &load})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
 	}
@@ -169,6 +168,17 @@ func TestBatchItemErrorIsolation(t *testing.T) {
 	}
 	if err := json.Unmarshal(env.Items[1].Body, &e); err != nil || e.Error == "" {
 		t.Errorf("bad item body: %s (%v)", env.Items[1].Body, err)
+	}
+
+	// The whole response is the reference envelope around each item's
+	// sequential answer, error body included.
+	items := make([]referenceItem, len(specs))
+	for i, spec := range specs {
+		seq, body := postBill(t, ts, "/v1/bill", BillRequest{Contract: spec, Load: load})
+		items[i] = referenceItem{status: seq.StatusCode, body: bytes.TrimSuffix(body, []byte("\n"))}
+	}
+	if want := referenceEnvelope(items); !bytes.Equal(raw, want) {
+		t.Errorf("batch response differs from the reference envelope:\n%s\nvs\n%s", raw, want)
 	}
 }
 
@@ -223,8 +233,10 @@ func stageCount(t *testing.T, metrics, stage string) int {
 }
 
 // checkItemsMatchSequential asserts every batch item is 200 and
-// byte-identical to the sequential /v1/bill response for its load.
-func checkItemsMatchSequential(t *testing.T, ts *httptest.Server, spec json.RawMessage, loads []LoadSpec, env batchEnvelope, monthly bool) {
+// byte-identical to the sequential /v1/bill response for its load, and
+// the whole response byte-identical to the reference envelope around
+// those responses, marked where they answered on a degraded feed.
+func checkItemsMatchSequential(t *testing.T, ts *httptest.Server, spec json.RawMessage, loads []LoadSpec, raw []byte, env batchEnvelope, monthly bool) {
 	t.Helper()
 	path := "/v1/bill"
 	if monthly {
@@ -233,18 +245,23 @@ func checkItemsMatchSequential(t *testing.T, ts *httptest.Server, spec json.RawM
 	if env.Count != len(loads) || len(env.Items) != len(loads) {
 		t.Fatalf("count %d, %d items, want %d", env.Count, len(env.Items), len(loads))
 	}
+	items := make([]referenceItem, len(loads))
 	for i, load := range loads {
 		seq, want := postBill(t, ts, path, BillRequest{Contract: spec, Load: load})
 		if seq.StatusCode != http.StatusOK {
 			t.Fatalf("sequential item %d: %d %s", i, seq.StatusCode, want)
 		}
 		want = bytes.TrimSuffix(want, []byte("\n"))
+		items[i] = referenceItem{status: http.StatusOK, degraded: seq.Header.Get("X-SCBill-Feed") == "degraded", body: want}
 		if env.Items[i].Status != http.StatusOK {
 			t.Fatalf("item %d status %d: %s", i, env.Items[i].Status, env.Items[i].Body)
 		}
 		if !bytes.Equal(env.Items[i].Body, want) {
 			t.Errorf("item %d (%+v) differs from sequential %s:\n%s\nvs\n%s", i, load, path, env.Items[i].Body, want)
 		}
+	}
+	if want := referenceEnvelope(items); !bytes.Equal(raw, want) {
+		t.Errorf("batch response differs from the reference envelope:\n%s\nvs\n%s", raw, want)
 	}
 }
 
@@ -290,7 +307,7 @@ func TestBatchRepeatedLoadsMatchSequential(t *testing.T) {
 						stage, got, distinct, len(loads))
 				}
 			}
-			checkItemsMatchSequential(t, ts, spec, loads, env, tc.monthly)
+			checkItemsMatchSequential(t, ts, spec, loads, raw, env, tc.monthly)
 		})
 	}
 }
@@ -328,7 +345,7 @@ func TestBatchFeedStaysPerItem(t *testing.T) {
 					t.Errorf("%s: item %d not marked degraded", path, i)
 				}
 			}
-			checkItemsMatchSequential(t, ts, spec, loads, env, monthly)
+			checkItemsMatchSequential(t, ts, spec, loads, raw, env, monthly)
 		}
 	})
 
@@ -355,7 +372,7 @@ func TestBatchFeedStaysPerItem(t *testing.T) {
 		if bytes.Equal(env.Items[0].Body, env.Items[1].Body) {
 			t.Error("two different loads on one flat-feed engine were merged")
 		}
-		checkItemsMatchSequential(t, ts, spec, loads, env, false)
+		checkItemsMatchSequential(t, ts, spec, loads, raw, env, false)
 
 		// A second rate is a second engine.
 		resp, _, raw = postBatch(t, ts, "/v1/bill/batch", BatchRequest{

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -177,6 +178,14 @@ func TestBillDegradesToFallback(t *testing.T) {
 	if out.Total != want.Total.Float() {
 		t.Errorf("degraded total %g != fallback-tariff total %g", out.Total, want.Total.Float())
 	}
+	// Byte for byte, it is the fallback bill with the marker spliced in.
+	wantBody, err := referenceBill(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantBody = referenceMarkDegraded(wantBody, out.DegradedReason); !bytes.Equal(body, wantBody) {
+		t.Errorf("degraded bill differs from the reference rendering:\n%s\nvs\n%s", body, wantBody)
+	}
 
 	if got := s.metrics.degraded.Value(); got != 1 {
 		t.Errorf("degraded counter = %d, want 1", got)
@@ -205,6 +214,24 @@ func TestBillDegradedMonthlyMarked(t *testing.T) {
 	}
 	if !out.Degraded || out.DegradedReason == "" || len(out.Months) == 0 {
 		t.Fatalf("monthly degraded response not marked: %s", body)
+	}
+
+	// Byte for byte, it is the reference rendering of the fallback
+	// contract's months, marked.
+	fb, err := dynamicSpec().FallbackSpec(contract.FlatFeedRate).Build(contract.BuildContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bills, err := contract.BillMonths(fb, namedLoad(t, "quickstart-month"), contract.BillingInput{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceMonthly(fb.Name, bills, degradedResolution(out.DegradedReason))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(body, want) {
+		t.Errorf("monthly degraded body differs from the reference rendering:\n%s\nvs\n%s", body, want)
 	}
 }
 

@@ -93,7 +93,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, body []b
 		return
 	}
 	if feedRes.degraded() {
-		data = markDegraded(data, feedRes.reason)
+		data = appendDegraded(data, feedRes.reason)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(data)

@@ -188,7 +188,7 @@ func TestBillEndpointMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := bill.JSON()
+			want, err := referenceBill(bill)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,11 +240,12 @@ func TestBillEndpointMonthly(t *testing.T) {
 	}
 	for i, b := range bills {
 		// Compare the literal JSON token, not a parsed float: the
-		// served number must be byte-identical to what Bill.JSON emits.
+		// served number must be byte-identical to what encoding/json
+		// renders.
 		var one struct {
 			Total json.Number `json:"total"`
 		}
-		data, err := b.JSON()
+		data, err := referenceBill(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,6 +258,13 @@ func TestBillEndpointMonthly(t *testing.T) {
 	}
 	if want := contract.TotalOf(bills).Float(); out.GrandTotal != want {
 		t.Errorf("grand total %v != %v", out.GrandTotal, want)
+	}
+	want, err := referenceMonthly(spec.Name, bills, feedResolution{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(body, want) {
+		t.Errorf("served monthly body differs from the reference rendering:\n%s\nvs\n%s", body, want)
 	}
 }
 

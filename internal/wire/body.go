@@ -41,17 +41,36 @@ func get(n int) *[]byte {
 	return &b
 }
 
-// put returns a buffer get made to its pool.
+// put returns a buffer get made to its pool. A buffer that appends
+// grew past its class is left to the collector, so that each pool
+// keeps buffers of its class's capacity alone.
 func put(p *[]byte) {
 	b := (*p)[:cap(*p)]
+	k := class(len(b))
+	if len(b) < minClass || len(b) > maxPresize || len(b) != minClass<<k {
+		return
+	}
 	if poison.Load() {
 		for i := range b {
 			b[i] = PoisonByte
 		}
 	}
 	*p = b[:0]
-	pools[class(cap(b))].Put(p)
+	pools[k].Put(p)
 }
+
+// GetBuffer returns an empty buffer of at least n bytes' capacity, at
+// most maxPresize, from the pools ReadBody draws on, for a caller that
+// renders a response by appending to *p. Hand it back with
+// ReleaseBuffer once nothing reads it any more.
+func GetBuffer(n int) *[]byte {
+	return get(min(max(n, 1), maxPresize))
+}
+
+// ReleaseBuffer returns a buffer GetBuffer made for a later GetBuffer
+// or ReadBody to reuse, unless appends to *p grew it past its class.
+// Call it exactly once, when nothing reads *p any more.
+func ReleaseBuffer(p *[]byte) { put(p) }
 
 // poison is the test hook PoisonReleased switches on.
 var poison atomic.Bool

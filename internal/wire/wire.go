@@ -1,12 +1,16 @@
-// Package wire holds the request-body primitives the router
-// (internal/route) and the backends (internal/serve) share, so both
-// daemons read a body the same way and agree on what it says:
+// Package wire holds the body primitives the router (internal/route)
+// and the backends (internal/serve) share, so both daemons read a body
+// the same way and agree on what it says, and the appenders that write
+// JSON as encoding/json does:
 //
 //   - ReadBody reads a body once into one buffer, sized from
 //     Content-Length (at most 1 MiB before the bytes arrive) and
 //     bounded at MaxBodyBytes; buffers up to 1 MiB come from
 //     size-classed pools, and Body.Release hands them back once
 //     nothing reads the body any more;
+//   - GetBuffer and ReleaseBuffer lend a buffer from the same pools to
+//     a caller that appends a response into it or copies one through
+//     it, and take it back however far appending grew it;
 //   - Skip, Object, Array, Number, String and Null scan JSON text
 //     with encoding/json's grammar (including its nesting limit)
 //     without decoding it, so a caller can find one member of a large
@@ -21,6 +25,9 @@
 //   - Key matches an object member's key against a field name by
 //     encoding/json's rule, so a scan picks the member encoding/json
 //     would have decoded;
+//   - AppendString and AppendFloat write a string and a float64 byte
+//     for byte as encoding/json does by default, so a hand-written
+//     encoder renders what json.Marshal would;
 //   - DeadlineHeader, Deadline and Tighten name, parse and apply the
 //     propagated request budget, so both daemons honour it alike.
 //
